@@ -63,7 +63,6 @@ from .solver import (
     SolveStatus,
     SolverConfig,
     armijo_backtrack,
-    armijo_search,
     minimize_smoothed,
     solve,
 )

@@ -114,7 +114,7 @@ def run_experiment(
     else:
         inst = expected_instance(problem)
         report = ev_solve(inst, x0, cfg)
-        count = len(inst.scenarios)
+        count = inst.count
         desc = "expected-value"
         ev_on_uniform = isinstance(problem.distribution, UniformBox)
     wall = time.perf_counter() - start

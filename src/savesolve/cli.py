@@ -14,6 +14,7 @@ For verify, 0 means every check passed and 1 that at least one failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -35,7 +36,7 @@ from .problems import (
     load_case2_file,
     load_problem_file,
 )
-from .sampling import SamplerSpec, generate
+from .sampling import DEFAULT_COUNT, SamplerSpec, generate
 from .solver import SolveStatus, SolverConfig
 
 EXIT_OK = 0
@@ -85,14 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--problem-file", help="path to a JSON problem file")
     run.add_argument("--n", type=int, help="dimension for ex4_4")
     run.add_argument("--route", choices=("erm", "ev"), default="erm")
-    run.add_argument(
-        "--sampler", choices=("halton", "pseudorandom", "scenarios"), default="halton"
-    )
-    run.add_argument(
-        "--N", default="100", help="sample count, or a comma list for several runs"
-    )
-    run.add_argument("--seed", type=int, default=0, help="pseudorandom sampler seed")
-    run.add_argument("--offset", type=int, default=0, help="halton index offset")
+    # sampler flags default to the problem file's sampler, else halton, N=100
+    run.add_argument("--sampler", choices=("halton", "pseudorandom", "scenarios"))
+    run.add_argument("--N", help="sample count, or a comma list for several runs")
+    run.add_argument("--seed", type=int, help="pseudorandom sampler seed")
+    run.add_argument("--offset", type=int, help="halton index offset")
     run.add_argument("--x0", help="explicit start, e.g. 1.0,2.0")
     run.add_argument("--x0-seed", type=int, default=0, help="seed for the random start")
     run.add_argument("--x0-lo", type=float, default=0.0, help="random-start box low end")
@@ -138,39 +136,36 @@ def _load_problem(args):
     return builtin_example(args.example, n=args.n), None, None
 
 
+def _override(base, **flags):
+    """base with each field whose command-line flag was given set to it."""
+    given = {name: value for name, value in flags.items() if value is not None}
+    return dataclasses.replace(base, **given)
+
+
 def _merge_config(file_cfg: SolverConfig | None, args) -> SolverConfig:
-    base = file_cfg or SolverConfig()
-    overrides = {
-        "mu0": args.mu0,
-        "epsilon": args.epsilon,
-        "rho_backtrack": args.rho,
-        "sigma": args.sigma,
-        "delta": args.delta,
-        "gamma_bar": args.gamma_bar,
-        "max_iter": args.max_iter,
-        "max_backtracks": args.max_backtracks,
-    }
-    fields = {k: v for k, v in overrides.items() if v is not None}
-    if not fields:
-        return base
-    current = {
-        "rho_backtrack": base.rho_backtrack,
-        "sigma": base.sigma,
-        "delta": base.delta,
-        "mu0": base.mu0,
-        "gamma_bar": base.gamma_bar,
-        "epsilon": base.epsilon,
-        "max_iter": base.max_iter,
-        "max_backtracks": base.max_backtracks,
-    }
-    current.update(fields)
-    return SolverConfig(**current)
+    return _override(
+        file_cfg or SolverConfig(),
+        mu0=args.mu0,
+        epsilon=args.epsilon,
+        rho_backtrack=args.rho,
+        sigma=args.sigma,
+        delta=args.delta,
+        gamma_bar=args.gamma_bar,
+        max_iter=args.max_iter,
+        max_backtracks=args.max_backtracks,
+    )
 
 
 def _cmd_run(args) -> int:
     problem, file_cfg, file_sampler = _load_problem(args)
     cfg = _merge_config(file_cfg, args)
-    counts = _parse_counts(args.N)
+    sampler = _override(
+        file_sampler or SamplerSpec("halton", count=DEFAULT_COUNT, dim=problem.m),
+        kind=args.sampler,
+        seed=args.seed,
+        offset=args.offset,
+    )
+    counts = _parse_counts(args.N) if args.N is not None else [sampler.count]
     if args.trace and len(counts) > 1 and args.route == "erm":
         raise ValueError("--trace expects a single --N value")
     if args.x0 is not None:
@@ -183,24 +178,13 @@ def _cmd_run(args) -> int:
     if args.route == "ev":
         counts = counts[:1]  # the ev route does not sample
     for count in counts:
-        if file_sampler is not None:
-            spec = SamplerSpec(
-                kind=file_sampler.kind,
-                count=count,
-                dim=problem.m,
-                seed=args.seed,
-                offset=args.offset,
-            )
-        else:
-            spec = SamplerSpec(
-                kind=args.sampler,
-                count=count,
-                dim=problem.m,
-                seed=args.seed,
-                offset=args.offset,
-            )
         record, report = run_experiment(
-            problem, spec, cfg, policy, args.route, example_id=example_id
+            problem,
+            dataclasses.replace(sampler, count=count),
+            cfg,
+            policy,
+            args.route,
+            example_id=example_id,
         )
         records.append(record)
         last_report = report

@@ -248,11 +248,24 @@ def smooth_abs(t, mu: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _residual_matrix(problem, samples, x, psi):
-    """Rows are A(w_i) x - psi - b(w_i), assembled through the affine terms."""
+def _residual_matrix(problem, points, x, psi):
+    """Row i is A(w_i) x - psi - b(w_i) for the i-th row w_i of points,
+    assembled through the affine terms."""
     base = problem.A_base @ x - psi - problem.b_base
     span = problem._A_stack @ x - problem._b_stack  # (m, n)
-    return base[None, :] + samples.points @ span
+    return base[None, :] + points @ span
+
+
+def _affine_adjoint(problem, points, Z, s0, local):
+    """sum_i A(w_i)^T z_i - local, with z_i the rows of Z and s0 = sum_i z_i.
+
+    The transpose of _residual_matrix: no per-point matrix is formed.
+    """
+    g = problem.A_base.T @ s0 - local
+    if problem.m:
+        # sum_j A_j^T (sum_i omega_ij z_i)
+        g += np.einsum("jkl,jk->l", problem._A_stack, points.T @ Z)
+    return g
 
 
 def _weighted_mean_square(R, samples):
@@ -269,7 +282,7 @@ def erm_objective(problem: StochasticProblem, samples: SampleSet, x) -> float:
     """
     _check_samples(problem, samples)
     x = _check_vector(x, problem.n, "x")
-    R = _residual_matrix(problem, samples, x, np.abs(x))
+    R = _residual_matrix(problem, samples.points, x, np.abs(x))
     return _weighted_mean_square(R, samples)
 
 
@@ -281,7 +294,7 @@ def smoothed_objective(
     _check_samples(problem, samples)
     x = _check_vector(x, problem.n, "x")
     psi = np.sqrt(x * x + mu)
-    R = _residual_matrix(problem, samples, x, psi)
+    R = _residual_matrix(problem, samples.points, x, psi)
     return _weighted_mean_square(R, samples)
 
 
@@ -322,11 +335,8 @@ def smoothed_gradient(
     x = _check_vector(x, problem.n, "x")
     _check_smooth_point(x, mu)
     psi = np.sqrt(x * x + mu)
-    R = _residual_matrix(problem, samples, x, psi)
+    R = _residual_matrix(problem, samples.points, x, psi)
     WR = R * samples.weights[:, None]
     s0 = WR.sum(axis=0)
-    g = problem.A_base.T @ s0 - (x / psi) * s0
-    if problem.m:
-        # sum_j A_j^T (sum_i w_i omega_ij r_i)
-        g += np.einsum("jkl,jk->l", problem._A_stack, samples.points.T @ WR)
+    g = _affine_adjoint(problem, samples.points, WR, s0, (x / psi) * s0)
     return (2.0 / samples.N) * g

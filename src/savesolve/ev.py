@@ -16,6 +16,11 @@ square constrained root-finding problem.  Its slack variables enter linearly
 with nonnegativity bounds, and minimizing them out analytically leaves an
 unconstrained least-squares objective in x that the smoothing gradient
 machinery can handle directly.
+
+The expected coefficients and every scenario block are the affine family
+evaluated at one row each of a points array (the mean of w, then the
+scenario points), so both come from core's affine residual rows and no
+per-scenario matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -28,7 +33,10 @@ from .core import (
     FiniteScenarios,
     NonsmoothPointError,
     StochasticProblem,
-    UniformBox,
+    _affine_adjoint,
+    _check_mu,
+    _check_vector,
+    _residual_matrix,
     eval_A,
     eval_b,
     residual,
@@ -51,49 +59,51 @@ __all__ = [
 
 @dataclass(eq=False)
 class EvInstance:
-    """Expected coefficients plus the per-scenario constraint blocks."""
+    """A problem plus the points its expected-value system is evaluated at.
 
-    A_bar: np.ndarray
-    b_bar: np.ndarray
-    scenarios: list[tuple[np.ndarray, np.ndarray]]
+    Row 0 of points is the mean of w, which gives the expected coefficients;
+    each further row is one scenario point, which gives one constraint block.
+    """
+
+    problem: StochasticProblem
+    points: np.ndarray
 
     def __post_init__(self):
-        A_bar = np.asarray(self.A_bar, dtype=float)
-        if A_bar.ndim != 2 or A_bar.shape[0] != A_bar.shape[1]:
-            raise ValueError(f"A_bar must be square, got shape {A_bar.shape}")
-        n = A_bar.shape[0]
-        b_bar = np.asarray(self.b_bar, dtype=float).ravel()
-        if b_bar.size != n:
-            raise ValueError(f"b_bar has length {b_bar.size}, expected {n}")
-        scenarios = []
-        for i, (A_i, b_i) in enumerate(self.scenarios):
-            A_i = np.asarray(A_i, dtype=float)
-            b_i = np.asarray(b_i, dtype=float).ravel()
-            if A_i.shape != (n, n) or b_i.size != n:
-                raise ValueError(f"scenario {i} has mismatched shapes")
-            scenarios.append((A_i, b_i))
-        self.A_bar = A_bar
-        self.b_bar = b_bar
-        self.scenarios = scenarios
+        points = np.asarray(self.points, dtype=float)
+        m = self.problem.m
+        if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] != m:
+            raise ValueError(
+                f"points must form a (1 + scenarios, {m}) array, "
+                f"got shape {points.shape}"
+            )
+        self.points = points
 
     @property
     def n(self) -> int:
-        return self.A_bar.shape[0]
+        return self.problem.n
+
+    @property
+    def count(self) -> int:
+        """Number of scenario constraint blocks."""
+        return self.points.shape[0] - 1
+
+    @property
+    def A_bar(self) -> np.ndarray:
+        return eval_A(self.problem, self.points[0])
+
+    @property
+    def b_bar(self) -> np.ndarray:
+        return eval_b(self.problem, self.points[0])
 
 
 def fb(a, b):
     """sqrt(a^2 + b^2) - a - b; zero exactly when a, b >= 0 and a b = 0."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.sqrt(a * a + b * b) - a - b
-    return float(out) if out.ndim == 0 else out
+    return smoothed_fb(a, b, 0.0)
 
 
 def smoothed_fb(a, b, mu: float):
     """sqrt(a^2 + b^2 + mu) - a - b, a smooth perturbation of fb."""
-    mu = float(mu)
-    if not mu >= 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu!r}")
+    mu = _check_mu(mu)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.sqrt(a * a + b * b + mu) - a - b
@@ -103,36 +113,28 @@ def smoothed_fb(a, b, mu: float):
 def expected_instance(problem: StochasticProblem) -> EvInstance:
     """Expected coefficients of a problem, with scenario constraint blocks.
 
-    For a finite distribution the expectation is the probability-weighted sum
-    and every scenario contributes a constraint block.  For the uniform box
-    each w_j has mean 1/2, which is exact for the affine coefficient family;
-    no constraint blocks are emitted there.
+    The coefficients are affine in w, so their expectation is the family
+    evaluated at the mean of w: the probability-weighted mean of the
+    scenario points for a finite distribution, each of which also
+    contributes a constraint block, and 1/2 in every coordinate for the
+    uniform box, which emits no constraint blocks.
     """
     dist = problem.distribution
     if isinstance(dist, FiniteScenarios):
-        scenarios = [
-            (eval_A(problem, omega), eval_b(problem, omega)) for omega in dist.omegas
-        ]
-        A_bar = sum(p * A_i for (A_i, _), p in zip(scenarios, dist.probs))
-        b_bar = sum(p * b_i for (_, b_i), p in zip(scenarios, dist.probs))
-        return EvInstance(A_bar, b_bar, scenarios)
-    half = np.full(problem.m, 0.5)
-    return EvInstance(eval_A(problem, half), eval_b(problem, half), [])
+        points = np.vstack([dist.probs @ dist.omegas, dist.omegas])
+    else:
+        points = np.full((1, problem.m), 0.5)
+    return EvInstance(problem, points)
 
 
-def _complementarity_pair(inst: EvInstance, x: np.ndarray):
-    Ax = inst.A_bar @ x
-    return Ax + x - inst.b_bar, Ax - x - inst.b_bar
+def _constraint_rows(inst: EvInstance, x: np.ndarray):
+    """(A(w_i) + I) x - b(w_i) and (A(w_i) - I) x - b(w_i), one row per point.
 
-
-def _scenario_slacks(inst: EvInstance, x: np.ndarray):
-    """Negative parts of every scenario constraint row, as one flat vector."""
-    parts = []
-    for A_i, b_i in inst.scenarios:
-        Ax = A_i @ x
-        parts.append(np.minimum(0.0, Ax + x - b_i))
-        parts.append(np.minimum(0.0, Ax - x - b_i))
-    return parts
+    Row 0 is the complementarity pair of the expected coefficients, the
+    other rows are the scenario constraint rows.
+    """
+    R = _residual_matrix(inst.problem, inst.points, x, 0.0)
+    return R + x, R - x
 
 
 def ev_objective(inst: EvInstance, x, mu: float) -> float:
@@ -144,45 +146,40 @@ def ev_objective(inst: EvInstance, x, mu: float) -> float:
     This is the exact minimum over the nonnegative slack variables of half
     the squared constrained-system residual.
     """
-    mu = float(mu)
-    if not mu >= 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu!r}")
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != inst.n:
-        raise ValueError(f"x has length {x.size}, expected {inst.n}")
-    G, H = _complementarity_pair(inst, x)
-    phi = np.sqrt(G * G + H * H + mu) - G - H
-    value = 0.5 * float(phi @ phi)
-    for part in _scenario_slacks(inst, x):
-        value += 0.5 * float(part @ part)
-    return value
+    mu = _check_mu(mu)
+    x = _check_vector(x, inst.n, "x")
+    G, H = _constraint_rows(inst, x)
+    phi = np.sqrt(G[0] * G[0] + H[0] * H[0] + mu) - G[0] - H[0]
+    slack_G = np.minimum(0.0, G[1:])
+    slack_H = np.minimum(0.0, H[1:])
+    return 0.5 * (float(phi @ phi) + float(np.vdot(slack_G, slack_G))
+                  + float(np.vdot(slack_H, slack_H)))
 
 
 def ev_gradient(inst: EvInstance, x, mu: float) -> np.ndarray:
     """Exact gradient of ev_objective in x (mu > 0, or mu = 0 away from
     points where both complementarity arguments vanish)."""
-    mu = float(mu)
-    if not mu >= 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu!r}")
-    x = np.asarray(x, dtype=float).ravel()
-    G, H = _complementarity_pair(inst, x)
-    s = np.sqrt(G * G + H * H + mu)
+    mu = _check_mu(mu)
+    x = _check_vector(x, inst.n, "x")
+    G, H = _constraint_rows(inst, x)
+    s = np.sqrt(G[0] * G[0] + H[0] * H[0] + mu)
     if mu == 0.0 and np.any(s == 0.0):
         raise NonsmoothPointError(
             "the complementarity residual is not differentiable where both "
             "arguments vanish with mu = 0"
         )
-    phi = s - G - H
-    # d phi_k / dx = (G_k/s_k - 1) * row_k(A_bar + I) + (H_k/s_k - 1) * row_k(A_bar - I)
-    cg = (G / s - 1.0) * phi
-    ch = (H / s - 1.0) * phi
-    g = inst.A_bar.T @ (cg + ch) + (cg - ch)
-    for A_i, b_i in inst.scenarios:
-        Ax = A_i @ x
-        np_pos = np.minimum(0.0, Ax + x - b_i)
-        np_neg = np.minimum(0.0, Ax - x - b_i)
-        g += A_i.T @ (np_pos + np_neg) + (np_pos - np_neg)
-    return g
+    phi = s - G[0] - H[0]
+    # dG and dH weight the rows of A(w_i) + I and A(w_i) - I.  Row 0 holds
+    # d phi_k / dx = (G_k/s_k - 1) row_k(A_bar + I) + (H_k/s_k - 1) row_k(A_bar - I);
+    # the scenario rows hold their negative parts.
+    dG = np.minimum(0.0, G)
+    dH = np.minimum(0.0, H)
+    dG[0] = (G[0] / s - 1.0) * phi
+    dH[0] = (H[0] / s - 1.0) * phi
+    Z = dG + dH
+    return _affine_adjoint(
+        inst.problem, inst.points, Z, Z.sum(axis=0), (dH - dG).sum(axis=0)
+    )
 
 
 def ev_residual(inst: EvInstance, x, y) -> np.ndarray:
@@ -193,16 +190,12 @@ def ev_residual(inst: EvInstance, x, y) -> np.ndarray:
     y_{2i+1}.  y holds one length-n slack block per constraint row group and
     may be passed flat or as a (2 * scenarios, n) array.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    k = len(inst.scenarios)
-    y = np.asarray(y, dtype=float).reshape(2 * k, inst.n) if k else np.zeros((0, inst.n))
-    G, H = _complementarity_pair(inst, x)
-    blocks = [np.atleast_1d(fb(G, H))]
-    for i, (A_i, b_i) in enumerate(inst.scenarios):
-        Ax = A_i @ x
-        blocks.append(Ax + x - b_i - y[2 * i])
-        blocks.append(Ax - x - b_i - y[2 * i + 1])
-    return np.concatenate(blocks)
+    x = _check_vector(x, inst.n, "x")
+    G, H = _constraint_rows(inst, x)
+    # interleave each scenario's (A_i + I) and (A_i - I) rows
+    rows = np.stack([G[1:], H[1:]], axis=1).reshape(2 * inst.count, inst.n)
+    y = np.asarray(y, dtype=float).reshape(rows.shape)
+    return np.concatenate([fb(G[0], H[0]), (rows - y).ravel()])
 
 
 def ev_solve(inst: EvInstance, x0, cfg: SolverConfig | None = None) -> SolveReport:

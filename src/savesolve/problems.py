@@ -25,7 +25,7 @@ import numpy as np
 
 from .analytic import ClosedFormInstance
 from .core import FiniteScenarios, StochasticProblem, UniformBox
-from .sampling import KINDS, SamplerSpec
+from .sampling import DEFAULT_COUNT, KINDS, SamplerSpec
 from .solver import SolverConfig
 
 __all__ = [
@@ -262,7 +262,7 @@ def _sampler_from_dict(raw, m: int) -> SamplerSpec:
     if raw.get("kind") not in KINDS:
         raise ProblemFormatError(f"sampler.kind: expected one of {KINDS}")
     try:
-        return SamplerSpec(dim=m, **raw)
+        return SamplerSpec(dim=m, **{"count": DEFAULT_COUNT, **raw})
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"sampler: {exc}") from None
 

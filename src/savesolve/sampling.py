@@ -17,6 +17,7 @@ from .core import FiniteScenarios, SampleSet, StochasticProblem, UniformBox
 __all__ = ["SamplerSpec", "generate", "halton_points", "radical_inverse"]
 
 KINDS = ("pseudorandom", "halton", "scenarios")
+DEFAULT_COUNT = 100  # sample count when neither a flag nor a file gives one
 
 
 @dataclass(frozen=True)

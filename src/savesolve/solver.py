@@ -39,7 +39,6 @@ __all__ = [
     "SolveReport",
     "LineSearchError",
     "armijo_backtrack",
-    "armijo_search",
     "minimize_smoothed",
     "solve",
 ]
@@ -140,30 +139,6 @@ def armijo_backtrack(
     raise LineSearchError(
         f"no sufficient decrease within {cfg.max_backtracks} backtracks"
     )
-
-
-def armijo_search(
-    problem: StochasticProblem,
-    samples: SampleSet,
-    x,
-    d,
-    mu: float,
-    cfg: SolverConfig,
-) -> tuple[float, np.ndarray]:
-    """Backtracking line search on the smoothed sample-average objective."""
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    f0 = smoothed_objective(problem, samples, x, mu)
-    g = smoothed_gradient(problem, samples, x, mu)
-    alpha, x_new, _ = armijo_backtrack(
-        lambda z: smoothed_objective(problem, samples, z, mu),
-        x,
-        d,
-        f0,
-        float(g @ d),
-        cfg,
-    )
-    return alpha, x_new
 
 
 def minimize_smoothed(

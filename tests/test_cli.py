@@ -107,6 +107,59 @@ class TestRunCommand:
         )
         assert code == 0
 
+    def test_problem_file_sampler_is_the_default(self, tmp_path, capsys):
+        # the file's sampler block supplies kind, count and seed when no flag does
+        doc = dict(EX4_1_DOC, sampler={"kind": "pseudorandom", "count": 7, "seed": 5})
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        x0 = ["--x0", "0.9415,1.7138"]
+        assert main(
+            ["run", "--problem-file", str(path), "--out", str(from_file)] + x0
+        ) == 0
+        assert main(
+            ["run", "--example", "ex4_1", "--sampler", "pseudorandom", "--N", "7",
+             "--seed", "5", "--out", str(from_flags)] + x0
+        ) == 0
+        capsys.readouterr()
+        assert from_file.read_text(encoding="utf-8").splitlines()[1].startswith("7,")
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
+    def test_sampler_flag_overrides_problem_file(self, tmp_path, capsys):
+        doc = dict(EX4_1_DOC, sampler={"kind": "pseudorandom", "count": 7, "seed": 5})
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        x0 = ["--x0", "0.9415,1.7138"]
+        assert main(
+            ["run", "--problem-file", str(path), "--sampler", "halton",
+             "--out", str(from_file)] + x0
+        ) == 0
+        assert main(
+            ["run", "--example", "ex4_1", "--sampler", "halton", "--N", "7",
+             "--out", str(from_flags)] + x0
+        ) == 0
+        capsys.readouterr()
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
+    def test_problem_file_sampler_without_count(self, tmp_path, capsys):
+        # a file sampler with no count falls back to N=100, not to one sample
+        doc = dict(EX4_1_DOC, sampler={"kind": "pseudorandom", "seed": 5})
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        x0 = ["--x0", "0.9415,1.7138"]
+        assert main(
+            ["run", "--problem-file", str(path), "--out", str(from_file)] + x0
+        ) == 0
+        assert main(
+            ["run", "--example", "ex4_1", "--sampler", "pseudorandom", "--N", "100",
+             "--seed", "5", "--out", str(from_flags)] + x0
+        ) == 0
+        capsys.readouterr()
+        assert from_file.read_text(encoding="utf-8").splitlines()[1].startswith("100,")
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
     def test_ev_route(self, capsys):
         code = main(
             [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from savesolve import (
     EvInstance,
@@ -12,6 +14,8 @@ from savesolve import (
     ev_objective,
     ev_residual,
     ev_solve,
+    eval_A,
+    eval_b,
     expected_instance,
     fb,
     fd_gradient,
@@ -28,6 +32,61 @@ EX2_1_STARTS = [
     (-3.9335, 4.6190, -4.9537, 2.7491),
     (3.5303, 1.2206, -1.4905, 0.1325),
 ]
+
+
+def random_finite_problem(rng, n, m, k):
+    """A dense affine instance with k weighted scenarios of dimension m."""
+    omegas = rng.uniform(-1.0, 2.0, (k, m))
+    probs = rng.uniform(0.1, 1.0, k)
+    return StochasticProblem(
+        rng.uniform(-2.0, 2.0, (n, n)),
+        list(rng.uniform(-2.0, 2.0, (m, n, n))),
+        rng.uniform(-2.0, 2.0, n),
+        list(rng.uniform(-2.0, 2.0, (m, n))),
+        FiniteScenarios(omegas, probs / probs.sum()),
+    )
+
+
+def direct_ev(problem, x, mu):
+    """ev_objective and ev_gradient by explicit summation over scenarios:
+    the expected matrices as probability-weighted sums of the scenario
+    matrices, then one constraint block per scenario matrix.
+
+    Each result comes with the same sum taken over the absolute values of
+    its terms: the scale that rounding errors are relative to when the
+    terms cancel.
+    """
+    dist = problem.distribution
+    blocks = [(eval_A(problem, w), eval_b(problem, w)) for w in dist.omegas]
+    A_bar = sum(p * A_i for (A_i, _), p in zip(blocks, dist.probs))
+    b_bar = sum(p * b_i for (_, b_i), p in zip(blocks, dist.probs))
+    A_abs = sum(p * np.abs(A_i) for (A_i, _), p in zip(blocks, dist.probs))
+    G = A_bar @ x + x - b_bar
+    H = A_bar @ x - x - b_bar
+    s = np.sqrt(G * G + H * H + mu)
+    phi = s - G - H
+    value = 0.5 * float(phi @ phi)
+    value_scale = 0.5 * float(np.sum((s + np.abs(G) + np.abs(H)) ** 2))
+    cg = (G / s - 1.0) * phi
+    ch = (H / s - 1.0) * phi
+    grad = A_bar.T @ (cg + ch) + (cg - ch)
+    scale = A_abs.T @ np.abs(cg + ch) + np.abs(cg - ch)
+    for A_i, b_i in blocks:
+        u = np.minimum(0.0, A_i @ x + x - b_i)
+        v = np.minimum(0.0, A_i @ x - x - b_i)
+        value += 0.5 * float(u @ u + v @ v)
+        value_scale += 0.5 * float(u @ u + v @ v)
+        grad += A_i.T @ (u + v) + (u - v)
+        scale += np.abs(A_i.T) @ np.abs(u + v) + np.abs(u - v)
+    return value, value_scale, grad, float(np.linalg.norm(scale))
+
+
+instance_shapes = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    m=st.integers(0, 3),
+    k=st.integers(1, 6),
+)
 
 
 @pytest.fixture
@@ -95,12 +154,12 @@ class TestExpectedInstance:
         )
         np.testing.assert_array_equal(ev2_1.A_bar, expected_A)
         np.testing.assert_array_equal(ev2_1.b_bar, [13.0, 16.0, 15.0, 21.0])
-        assert len(ev2_1.scenarios) == 2
+        assert ev2_1.count == 2
 
     def test_expectation_matches_probability_weighted_sum(self, ex2_1, ev2_1):
         dist = ex2_1.distribution
-        A_sum = sum(p * A for (A, _), p in zip(ev2_1.scenarios, dist.probs))
-        b_sum = sum(p * b for (_, b), p in zip(ev2_1.scenarios, dist.probs))
+        A_sum = sum(p * eval_A(ex2_1, w) for w, p in zip(dist.omegas, dist.probs))
+        b_sum = sum(p * eval_b(ex2_1, w) for w, p in zip(dist.omegas, dist.probs))
         np.testing.assert_allclose(ev2_1.A_bar, A_sum, atol=1e-12)
         np.testing.assert_allclose(ev2_1.b_bar, b_sum, atol=1e-12)
 
@@ -120,7 +179,11 @@ class TestExpectedInstance:
             inst.A_bar, np.array([[2.5, 1.0], [5.0, 1.5]])
         )
         np.testing.assert_array_equal(inst.b_bar, [4.5, 6.5])
-        assert inst.scenarios == []
+        assert inst.count == 0
+
+    def test_points_shape_validated(self, ex2_1):
+        with pytest.raises(ValueError, match="points"):
+            EvInstance(ex2_1, np.zeros((3, 2)))
 
 
 class TestEvObjective:
@@ -131,7 +194,9 @@ class TestEvObjective:
         assert ev_objective(ev2_1, np.array([-1.0, 2.0, 0.3, -4.0]), 0.0) > 0.0
 
     def test_zero_scenarios_reduces_to_fb_norm(self):
-        inst = EvInstance(np.array([[2.0, 0.0], [0.0, 3.0]]), [1.0, 1.0], [])
+        inst = expected_instance(
+            StochasticProblem(np.array([[2.0, 0.0], [0.0, 3.0]]), [], [1.0, 1.0], [])
+        )
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.uniform(-2, 2, size=2)
@@ -159,12 +224,48 @@ class TestEvGradient:
             assert err <= 1e-5 * np.linalg.norm(numeric) + 1e-8
 
 
+    def test_wrong_length_x_rejected(self, ev2_1):
+        with pytest.raises(ValueError, match="x has length"):
+            ev_gradient(ev2_1, np.ones(3), 0.01)
+        with pytest.raises(ValueError, match="x has length"):
+            ev_residual(ev2_1, np.ones(3), np.zeros((4, 4)))
+
+
+class TestAffineRows:
+    """The affine-row evaluation against explicit per-scenario summation,
+    over random finite-scenario instances with m > 1 as well."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(**instance_shapes)
+    def test_matches_direct_summation(self, seed, n, m, k):
+        rng = np.random.default_rng(seed)
+        problem = random_finite_problem(rng, n, m, k)
+        inst = expected_instance(problem)
+        x = rng.uniform(-3, 3, size=n)
+        mu = 10.0 ** rng.uniform(-6, -1)
+        value, value_scale, grad, grad_scale = direct_ev(problem, x, mu)
+        assert abs(ev_objective(inst, x, mu) - value) <= 1e-12 * value_scale
+        assert np.linalg.norm(ev_gradient(inst, x, mu) - grad) <= 1e-12 * grad_scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(**instance_shapes)
+    def test_gradient_matches_central_differences(self, seed, n, m, k):
+        rng = np.random.default_rng(seed)
+        inst = expected_instance(random_finite_problem(rng, n, m, k))
+        x = rng.uniform(-3, 3, size=n)
+        mu = 10.0 ** rng.uniform(-6, -1)
+        analytic = ev_gradient(inst, x, mu)
+        numeric = fd_gradient(lambda z: ev_objective(inst, z, mu), x)
+        err = np.linalg.norm(analytic - numeric)
+        assert err <= 1e-5 * np.linalg.norm(numeric) + 1e-8
+
+
 class TestSlackElimination:
-    def test_partial_minimum_over_slacks(self, ev2_1):
+    def test_partial_minimum_over_slacks(self, ex2_1, ev2_1):
         # half the squared full residual is minimized over y >= 0 exactly at
         # the positive parts of the constraint rows
         rng = np.random.default_rng(11)
-        k = len(ev2_1.scenarios)
+        k = ev2_1.count
         for _ in range(1000):
             x = rng.uniform(-3, 3, size=4)
             y = rng.uniform(0, 3, size=(2 * k, 4))
@@ -174,7 +275,8 @@ class TestSlackElimination:
             assert value >= floor - 1e-10
 
             y_best = []
-            for A_i, b_i in ev2_1.scenarios:
+            for w in ex2_1.distribution.omegas:
+                A_i, b_i = eval_A(ex2_1, w), eval_b(ex2_1, w)
                 y_best.append(np.maximum(0.0, A_i @ x + x - b_i))
                 y_best.append(np.maximum(0.0, A_i @ x - x - b_i))
             h_best = ev_residual(ev2_1, x, np.array(y_best))
@@ -198,7 +300,7 @@ class TestEvSolve:
     def test_near_stationary_start_returns_immediately(self):
         # complementarity holds strictly at x0, so for a loose tolerance the
         # initial gradient already passes the stopping test
-        inst = EvInstance(2.0 * np.eye(2), [1.0, 1.0], [])
+        inst = expected_instance(StochasticProblem(2.0 * np.eye(2), [], [1.0, 1.0], []))
         x0 = np.ones(2)
         assert ev_objective(inst, x0, 0.0) == 0.0
         report = ev_solve(inst, x0, SolverConfig(epsilon=0.05))

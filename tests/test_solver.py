@@ -11,7 +11,6 @@ from savesolve import (
     SolverConfig,
     StochasticProblem,
     armijo_backtrack,
-    armijo_search,
     builtin_example,
     generate,
     smoothed_gradient,
@@ -59,16 +58,19 @@ class TestArmijo:
         # f = x^2 from x = 1 along d = -2: alpha = 1 fails the decrease test,
         # alpha = 1/2 lands on the minimizer and satisfies it with equality
         problem, samples = quadratic_1d_problem()
-        cfg = SolverConfig()
-        alpha, x_new = armijo_search(problem, samples, [1.0], [-2.0], 0.0, cfg)
+        f = lambda z: smoothed_objective(problem, samples, z, 0.0)
+        x, d = np.array([1.0]), np.array([-2.0])
+        slope = float(smoothed_gradient(problem, samples, x, 0.0) @ d)
+        alpha, x_new, _ = armijo_backtrack(f, x, d, f(x), slope, SolverConfig())
         assert alpha == 0.5
         np.testing.assert_array_equal(x_new, [0.0])
 
     def test_first_trial_accepted(self):
         problem, samples = quadratic_1d_problem()
-        alpha, x_new = armijo_search(
-            problem, samples, [1.0], [-0.5], 0.0, SolverConfig()
-        )
+        f = lambda z: smoothed_objective(problem, samples, z, 0.0)
+        x, d = np.array([1.0]), np.array([-0.5])
+        slope = float(smoothed_gradient(problem, samples, x, 0.0) @ d)
+        alpha, x_new, _ = armijo_backtrack(f, x, d, f(x), slope, SolverConfig())
         assert alpha == 1.0
         np.testing.assert_array_equal(x_new, [0.5])
 
@@ -81,7 +83,8 @@ class TestArmijo:
             x = rng.uniform(-2, 2, size=2)
             mu = 0.01
             g = smoothed_gradient(problem, samples, x, mu)
-            alpha, x_new = armijo_search(problem, samples, x, -g, mu, cfg)
+            f = lambda z: smoothed_objective(problem, samples, z, mu)
+            alpha, x_new, _ = armijo_backtrack(f, x, -g, f(x), float(g @ -g), cfg)
             assert smoothed_objective(problem, samples, x_new, mu) < (
                 smoothed_objective(problem, samples, x, mu)
             )
