@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import StochasticProblem, UniformBox
+from .core import StochasticProblem, UniformBox, _check_vector, _finite_array
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -43,14 +43,12 @@ class ClosedFormInstance:
     T: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        A = _finite_array(self.A, "A")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         n = A.shape[0]
-        b_tilde = np.asarray(self.b_tilde, dtype=float).ravel()
-        if b_tilde.size != n:
-            raise ValueError(f"b_tilde has length {b_tilde.size}, expected {n}")
-        T = np.asarray(self.T, dtype=float)
+        b_tilde = _check_vector(_finite_array(self.b_tilde, "b_tilde"), n, "b_tilde")
+        T = _finite_array(self.T, "T")
         if T.ndim == 1:
             T = T[:, None]
         if T.ndim != 2 or T.shape[0] != n:
@@ -82,9 +80,7 @@ def exact_objective(inst: ClosedFormInstance, x) -> float:
     sum_i (r_i^2 + t_i^2 / 3 - r_i t_i), the closed-form integral of
     (r_i - t_i w)^2 over w uniform on [0, 1].
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != inst.n:
-        raise ValueError(f"x has length {x.size}, expected {inst.n}")
+    x = _check_vector(x, inst.n, "x")
     r = inst.A @ x - np.abs(x) - inst.b_tilde
     t = inst.noise_scales
     return float(np.sum(r * r + t * t / 3.0 - r * t))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import StochasticProblem, UniformBox
+from .core import StochasticProblem, UniformBox, _check_vector
 from .ev import ev_solve, expected_instance
 from .sampling import SamplerSpec, generate
 from .solver import SolveReport, SolveStatus, SolverConfig, solve
@@ -44,10 +44,7 @@ class GivenStart:
     x: tuple
 
     def resolve(self, n: int) -> np.ndarray:
-        x = np.asarray(self.x, dtype=float).ravel()
-        if x.size != n:
-            raise ValueError(f"x0 has length {x.size}, expected {n}")
-        return x
+        return _check_vector(self.x, n, "x0")
 
 
 @dataclass(frozen=True)

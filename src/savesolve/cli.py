@@ -21,6 +21,7 @@ import numpy as np
 
 from .analytic import exact_objective
 from .bench import (
+    ROUTES,
     GivenStart,
     UniformRandomStart,
     emit_table,
@@ -36,7 +37,7 @@ from .problems import (
     load_case2_file,
     load_problem_file,
 )
-from .sampling import DEFAULT_COUNT, SamplerSpec, generate
+from .sampling import DEFAULT_COUNT, KINDS, SamplerSpec, generate
 from .solver import SolveStatus, SolverConfig
 
 EXIT_OK = 0
@@ -85,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--example", choices=EXAMPLE_IDS, help="built-in instance")
     src.add_argument("--problem-file", help="path to a JSON problem file")
     run.add_argument("--n", type=int, help="dimension for ex4_4")
-    run.add_argument("--route", choices=("erm", "ev"), default="erm")
+    run.add_argument("--route", choices=ROUTES, default="erm")
     # sampler flags default to the problem file's sampler, else halton, N=100
-    run.add_argument("--sampler", choices=("halton", "pseudorandom", "scenarios"))
+    run.add_argument("--sampler", choices=KINDS)
     run.add_argument("--N", help="sample count, or a comma list for several runs")
     run.add_argument("--seed", type=int, help="pseudorandom sampler seed")
     run.add_argument("--offset", type=int, help="halton index offset")

@@ -47,6 +47,46 @@ class NonsmoothPointError(ValueError):
     """Derivative of |.| requested at a kink (mu = 0 with some x_j = 0)."""
 
 
+def _finite_array(value, name: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def _points_array(points, what: str) -> np.ndarray:
+    """A finite (count, dim) array with at least one row; a 1-D input of
+    count scalars is read as count points in R^1."""
+    arr = _finite_array(points, what)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2 or arr.shape[0] < 1:
+        raise ValueError(
+            f"{what} must form a (count, dim) array with at least one row, "
+            f"got shape {arr.shape}"
+        )
+    return arr
+
+
+def _positive_weights(w, count: int, what: str) -> np.ndarray:
+    """One finite, strictly positive weight for each of count points."""
+    w = np.asarray(w, dtype=float).ravel()
+    if w.size != count:
+        raise ValueError(f"{count} points but {w.size} {what}")
+    if not np.all(np.isfinite(w) & (w > 0)):
+        raise ValueError(f"{what} must be finite and strictly positive")
+    return w
+
+
+def _check_int(value, name: str, minimum: int) -> None:
+    """Reject anything but an int or numpy integer >= minimum; a bool or a
+    float with an integral value is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class UniformBox:
     """w uniform on [0,1]^m with density identically one."""
@@ -57,32 +97,21 @@ class FiniteScenarios:
     """Discrete distribution: point omegas[i] occurs with probability probs[i].
 
     omegas is (k, m); a 1-D input of k scalars is treated as k points in R^1.
-    Probabilities must be strictly positive and sum to one.
+    Points and probabilities must be finite; probabilities must be strictly
+    positive and sum to one.
     """
 
     omegas: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float)
-        if omegas.ndim == 1:
-            omegas = omegas[:, None]
-        if omegas.ndim != 2:
-            raise ValueError("scenario points must form a (count, dim) array")
-        probs = np.asarray(self.probs, dtype=float).ravel()
-        if probs.size == 0:
-            raise ValueError("at least one scenario is required")
-        if omegas.shape[0] != probs.size:
-            raise ValueError(
-                f"{omegas.shape[0]} scenario points but {probs.size} probabilities"
-            )
-        if np.any(probs <= 0.0):
-            raise ValueError("scenario probabilities must be strictly positive")
-        total = probs.sum()
+        self.omegas = _points_array(self.omegas, "scenario points")
+        self.probs = _positive_weights(
+            self.probs, self.omegas.shape[0], "scenario probabilities"
+        )
+        total = self.probs.sum()
         if abs(total - 1.0) > PROBABILITY_TOL:
             raise ValueError(f"scenario probabilities sum to {total!r}, not 1")
-        self.omegas = omegas
-        self.probs = probs
 
     @property
     def count(self) -> int:
@@ -94,8 +123,7 @@ class StochasticProblem:
     """Affine-in-w coefficient family plus the distribution of w.
 
     A_terms and b_terms must each have m entries; m = 0 gives a deterministic
-    equation.  Shapes are validated on construction and the term stacks are
-    cached for batch evaluation.
+    equation.  Shapes and finiteness are validated on construction.
     """
 
     A_base: np.ndarray
@@ -105,25 +133,23 @@ class StochasticProblem:
     distribution: UniformBox | FiniteScenarios = field(default_factory=UniformBox)
 
     def __post_init__(self):
-        A_base = np.asarray(self.A_base, dtype=float)
+        A_base = _finite_array(self.A_base, "A_base")
         if A_base.ndim != 2 or A_base.shape[0] != A_base.shape[1]:
             raise ValueError(f"A_base must be square, got shape {A_base.shape}")
         n = A_base.shape[0]
-        b_base = np.asarray(self.b_base, dtype=float).ravel()
-        if b_base.size != n:
-            raise ValueError(f"b_base has length {b_base.size}, expected {n}")
-        A_terms = [np.asarray(t, dtype=float) for t in self.A_terms]
+        b_base = _check_vector(_finite_array(self.b_base, "b_base"), n, "b_base")
+        A_terms = [
+            _finite_array(t, f"A_terms[{j}]") for j, t in enumerate(self.A_terms)
+        ]
         for j, term in enumerate(A_terms):
             if term.shape != (n, n):
                 raise ValueError(
                     f"A_terms[{j}] has shape {term.shape}, expected ({n}, {n})"
                 )
-        b_terms = [np.asarray(t, dtype=float).ravel() for t in self.b_terms]
-        for j, term in enumerate(b_terms):
-            if term.size != n:
-                raise ValueError(
-                    f"b_terms[{j}] has length {term.size}, expected {n}"
-                )
+        b_terms = [
+            _check_vector(_finite_array(t, f"b_terms[{j}]"), n, f"b_terms[{j}]")
+            for j, t in enumerate(self.b_terms)
+        ]
         if len(A_terms) != len(b_terms):
             raise ValueError(
                 f"{len(A_terms)} A_terms but {len(b_terms)} b_terms"
@@ -138,12 +164,13 @@ class StochasticProblem:
         elif not isinstance(self.distribution, UniformBox):
             raise ValueError("distribution must be UniformBox or FiniteScenarios")
         self.A_base = A_base
-        self.A_terms = A_terms
         self.b_base = b_base
-        self.b_terms = b_terms
-        # stacked copies for vectorized evaluation over many samples
+        # the stacks serve vectorized evaluation over many samples; the term
+        # lists are views of their rows, so each term is stored once
         self._A_stack = np.stack(A_terms) if m else np.zeros((0, n, n))
         self._b_stack = np.stack(b_terms) if m else np.zeros((0, n))
+        self.A_terms = list(self._A_stack)
+        self.b_terms = list(self._b_stack)
 
     @property
     def n(self) -> int:
@@ -167,22 +194,10 @@ class SampleSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        if points.ndim == 1:
-            points = points[:, None]
-        if points.ndim != 2:
-            raise ValueError("sample points must form a (count, dim) array")
-        if points.shape[0] < 1:
-            raise ValueError("a sample set needs at least one point")
-        weights = np.asarray(self.weights, dtype=float).ravel()
-        if weights.size != points.shape[0]:
-            raise ValueError(
-                f"{points.shape[0]} points but {weights.size} weights"
-            )
-        if np.any(weights <= 0.0):
-            raise ValueError("sample weights must be strictly positive")
-        self.points = points
-        self.weights = weights
+        self.points = _points_array(self.points, "sample points")
+        self.weights = _positive_weights(
+            self.weights, self.points.shape[0], "sample weights"
+        )
 
     @property
     def N(self) -> int:

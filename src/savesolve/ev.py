@@ -36,6 +36,7 @@ from .core import (
     _affine_adjoint,
     _check_mu,
     _check_vector,
+    _points_array,
     _residual_matrix,
     eval_A,
     eval_b,
@@ -69,14 +70,12 @@ class EvInstance:
     points: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        m = self.problem.m
-        if points.ndim != 2 or points.shape[0] < 1 or points.shape[1] != m:
+        self.points = _points_array(self.points, "points")
+        if self.points.shape[1] != self.problem.m:
             raise ValueError(
-                f"points must form a (1 + scenarios, {m}) array, "
-                f"got shape {points.shape}"
+                f"points have dimension {self.points.shape[1]}, "
+                f"expected {self.problem.m}"
             )
-        self.points = points
 
     @property
     def n(self) -> int:
@@ -210,15 +209,19 @@ def ev_solve(inst: EvInstance, x0, cfg: SolverConfig | None = None) -> SolveRepo
         lambda z, mu: ev_gradient(inst, z, mu),
         x0,
         cfg,
-        raw_objective=lambda z: ev_objective(inst, z, 0.0),
     )
+
+
+def _check_tol(tol) -> float:
+    tol = float(tol)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    return tol
 
 
 def verify_glcp(A, b, x, tol: float) -> bool:
     """Check (A+I)x - b >= 0, (A-I)x - b >= 0 and orthogonality, within tol."""
-    tol = float(tol)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    tol = _check_tol(tol)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
@@ -230,7 +233,5 @@ def verify_glcp(A, b, x, tol: float) -> bool:
 
 def verify_save(problem: StochasticProblem, x, omega, tol: float) -> bool:
     """Check that the equation residual at (x, omega) has norm at most tol."""
-    tol = float(tol)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    tol = _check_tol(tol)
     return bool(np.linalg.norm(residual(problem, x, omega)) <= tol)

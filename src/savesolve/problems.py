@@ -12,20 +12,23 @@ Problem files are UTF-8 JSON documents:
     }
 
 A finite distribution uses kind "finite_scenarios" with
-"scenarios": [{"omega": [...], "p": ...}, ...].  Shape mismatches are
-rejected with the offending field in the message.
+"scenarios": [{"omega": [...], "p": ...}, ...].  Numbers must be finite; the
+sampler's count, seed and offset and the solver's max_iter and max_backtracks
+are integers.  This module only parses (structure, known fields, the declared
+n and m, exact vector shapes, numeric arrays); every other rule lives in the
+type a block builds, whose ValueError or TypeError is re-raised as a
+ProblemFormatError naming the field, so a malformed file exits with status 64.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
 
 from .analytic import ClosedFormInstance
-from .core import FiniteScenarios, StochasticProblem, UniformBox
-from .sampling import DEFAULT_COUNT, KINDS, SamplerSpec
+from .core import FiniteScenarios, StochasticProblem, UniformBox, _check_int
+from .sampling import DEFAULT_COUNT, SamplerSpec
 from .solver import SolverConfig
 
 __all__ = [
@@ -136,27 +139,41 @@ def _require(data: dict, key: str):
     return data[key]
 
 
-def _int_field(data: dict, key: str, minimum: int) -> int:
-    value = _require(data, key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ProblemFormatError(f"{key}: expected an integer >= {minimum}, got {value!r}")
+def _object(value, label: str) -> dict:
+    if not isinstance(value, dict):
+        raise ProblemFormatError(f"{label}: expected a JSON object")
     return value
 
 
-def _array_field(value, shape: tuple[int, ...], label: str) -> np.ndarray:
+def _int_field(data: dict, key: str, minimum: int) -> int:
+    value = _require(data, key)
+    _built(None, lambda: _check_int(value, key, minimum))
+    return value
+
+
+def _array_field(value, label: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """value as a float array, of exactly the given shape when one is given."""
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"{label}: not a numeric array ({exc})") from None
-    if arr.shape != shape:
+    if shape is not None and arr.shape != shape:
         raise ProblemFormatError(f"{label}: expected shape {shape}, got {arr.shape}")
     return arr
 
 
+def _built(block: str | None, make):
+    """make(), with the type's ValueError or TypeError reported as a
+    ProblemFormatError under the document block it came from."""
+    try:
+        return make()
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"{block}: {exc}" if block else str(exc)) from None
+
+
 def problem_from_dict(data) -> StochasticProblem:
-    """Validate a parsed problem document and build the instance."""
-    if not isinstance(data, dict):
-        raise ProblemFormatError("top level: expected a JSON object")
+    """Parse a problem document and build the instance."""
+    _object(data, "top level")
     known = {"n", "m", "A_base", "A_terms", "b_base", "b_terms", "distribution",
              "solver", "sampler"}
     for key in data:
@@ -164,19 +181,17 @@ def problem_from_dict(data) -> StochasticProblem:
             raise ProblemFormatError(f"{key}: unknown field")
     n = _int_field(data, "n", minimum=1)
     m = _int_field(data, "m", minimum=0)
-    A_base = _array_field(_require(data, "A_base"), (n, n), "A_base")
-    b_base = _array_field(_require(data, "b_base"), (n,), "b_base")
+    A_base = _array_field(_require(data, "A_base"), "A_base", (n, n))
+    b_base = _array_field(_require(data, "b_base"), "b_base", (n,))
     A_terms_raw = _require(data, "A_terms")
     b_terms_raw = _require(data, "b_terms")
     if not isinstance(A_terms_raw, list) or len(A_terms_raw) != m:
         raise ProblemFormatError(f"A_terms: expected a list of {m} matrices")
     if not isinstance(b_terms_raw, list) or len(b_terms_raw) != m:
         raise ProblemFormatError(f"b_terms: expected a list of {m} vectors")
-    A_terms = [
-        _array_field(t, (n, n), f"A_terms[{j}]") for j, t in enumerate(A_terms_raw)
-    ]
+    A_terms = [_array_field(t, f"A_terms[{j}]") for j, t in enumerate(A_terms_raw)]
     b_terms = [
-        _array_field(t, (n,), f"b_terms[{j}]") for j, t in enumerate(b_terms_raw)
+        _array_field(t, f"b_terms[{j}]", (n,)) for j, t in enumerate(b_terms_raw)
     ]
     dist_raw = _require(data, "distribution")
     if not isinstance(dist_raw, dict) or "kind" not in dist_raw:
@@ -192,26 +207,21 @@ def problem_from_dict(data) -> StochasticProblem:
             )
         omegas, probs = [], []
         for i, sc in enumerate(raw):
+            label = f"distribution.scenarios[{i}]"
             if not isinstance(sc, dict) or "omega" not in sc or "p" not in sc:
-                raise ProblemFormatError(
-                    f"distribution.scenarios[{i}]: expected omega and p fields"
-                )
-            omegas.append(
-                _array_field(sc["omega"], (m,), f"distribution.scenarios[{i}].omega")
-            )
-            probs.append(sc["p"])
-        try:
-            distribution = FiniteScenarios(np.array(omegas).reshape(len(raw), m), probs)
-        except ValueError as exc:
-            raise ProblemFormatError(f"distribution.scenarios: {exc}") from None
+                raise ProblemFormatError(f"{label}: expected omega and p fields")
+            omegas.append(_array_field(sc["omega"], f"{label}.omega", (m,)))
+            probs.append(_array_field(sc["p"], f"{label}.p"))
+        distribution = _built(
+            "distribution.scenarios", lambda: FiniteScenarios(np.array(omegas), probs)
+        )
     else:
         raise ProblemFormatError(
             f"distribution.kind: expected uniform_box or finite_scenarios, got {kind!r}"
         )
-    try:
-        return StochasticProblem(A_base, A_terms, b_base, b_terms, distribution)
-    except ValueError as exc:
-        raise ProblemFormatError(str(exc)) from None
+    return _built(
+        None, lambda: StochasticProblem(A_base, A_terms, b_base, b_terms, distribution)
+    )
 
 
 def problem_to_dict(problem: StochasticProblem) -> dict:
@@ -240,31 +250,15 @@ def problem_to_dict(problem: StochasticProblem) -> dict:
 
 
 def _solver_from_dict(raw) -> SolverConfig:
-    if not isinstance(raw, dict):
-        raise ProblemFormatError("solver: expected an object")
-    fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    for key in raw:
-        if key not in fields:
-            raise ProblemFormatError(f"solver.{key}: unknown parameter")
-    try:
-        return SolverConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"solver: {exc}") from None
+    raw = _object(raw, "solver")
+    return _built("solver", lambda: SolverConfig(**raw))
 
 
 def _sampler_from_dict(raw, m: int) -> SamplerSpec:
-    if not isinstance(raw, dict):
-        raise ProblemFormatError("sampler: expected an object")
-    allowed = {"kind", "count", "seed", "offset"}
-    for key in raw:
-        if key not in allowed:
-            raise ProblemFormatError(f"sampler.{key}: unknown parameter")
-    if raw.get("kind") not in KINDS:
-        raise ProblemFormatError(f"sampler.kind: expected one of {KINDS}")
-    try:
-        return SamplerSpec(dim=m, **{"count": DEFAULT_COUNT, **raw})
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"sampler: {exc}") from None
+    raw = _object(raw, "sampler")
+    return _built(
+        "sampler", lambda: SamplerSpec(dim=m, **{"count": DEFAULT_COUNT, **raw})
+    )
 
 
 def load_problem_file(path):
@@ -282,26 +276,16 @@ def load_problem_file(path):
 
 
 def case2_from_dict(data) -> ClosedFormInstance:
-    """Build a closed-form oracle instance from {A, b_tilde, T}."""
-    if not isinstance(data, dict):
-        raise ProblemFormatError("top level: expected a JSON object")
+    """Parse a closed-form oracle document {A, b_tilde, T} and build the
+    instance."""
+    _object(data, "top level")
     for key in data:
         if key not in {"A", "b_tilde", "T"}:
             raise ProblemFormatError(f"{key}: unknown field")
-    A = _require(data, "A")
-    try:
-        A = np.asarray(A, dtype=float)
-    except (TypeError, ValueError):
-        raise ProblemFormatError("A: not a numeric matrix") from None
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ProblemFormatError(f"A: expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
-    b_tilde = _array_field(_require(data, "b_tilde"), (n,), "b_tilde")
-    T = _require(data, "T")
-    try:
-        return ClosedFormInstance(A, b_tilde, T)
-    except ValueError as exc:
-        raise ProblemFormatError(f"T: {exc}") from None
+    A, b_tilde, T = (
+        _array_field(_require(data, key), key) for key in ("A", "b_tilde", "T")
+    )
+    return _built(None, lambda: ClosedFormInstance(A, b_tilde, T))
 
 
 def load_case2_file(path) -> ClosedFormInstance:

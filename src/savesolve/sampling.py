@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteScenarios, SampleSet, StochasticProblem, UniformBox
+from .core import FiniteScenarios, SampleSet, StochasticProblem, UniformBox, _check_int
 
 __all__ = ["SamplerSpec", "generate", "halton_points", "radical_inverse"]
 
@@ -37,14 +37,12 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}; use one of {KINDS}")
-        if self.count < 1:
-            raise ValueError("sample count must be at least 1")
-        if self.dim < 0:
-            raise ValueError("sample dimension must be nonnegative")
-        if not 0 <= self.seed < 2**64:
+        _check_int(self.count, "count", 1)
+        _check_int(self.dim, "dim", 0)
+        _check_int(self.seed, "seed", 0)
+        if self.seed >= 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.offset < 0:
-            raise ValueError("offset must be nonnegative")
+        _check_int(self.offset, "offset", 0)
 
 
 def _is_prime(p: int) -> bool:

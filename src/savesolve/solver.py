@@ -27,6 +27,7 @@ import numpy as np
 from .core import (
     SampleSet,
     StochasticProblem,
+    _check_int,
     erm_objective,
     smoothed_gradient,
     smoothed_objective,
@@ -73,14 +74,12 @@ class SolverConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
-        if not self.mu0 > 0.0:
-            raise ValueError(f"mu0 must be positive, got {self.mu0!r}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be at least 1")
+        for name in ("mu0", "epsilon"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        _check_int(self.max_iter, "max_iter", 1)
+        _check_int(self.max_backtracks, "max_backtracks", 1)
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ def minimize_smoothed(
 
     return SolveReport(
         x_final=x,
-        f_final=raw_objective(x),
+        f_final=trace[-1].objective_raw,
         f_smoothed_final=f_cur,
         grad_norm_final=gn,
         mu_final=mu,

@@ -219,6 +219,35 @@ class TestRunCommand:
         assert main(["run", "--problem-file", str(missing)]) == 64
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "block,field",
+        [
+            ({"sampler": {"kind": "halton", "count": 2.5}}, "count"),
+            ({"sampler": {"kind": "halton", "count": True}}, "count"),
+            ({"sampler": {"kind": "pseudorandom", "seed": 1.5}}, "seed"),
+            ({"sampler": {"kind": "halton", "offset": 0.5}}, "offset"),
+            ({"solver": {"max_backtracks": 2.5}}, "max_backtracks"),
+            ({"solver": {"max_iter": 2.5}}, "max_iter"),
+            (
+                {"distribution": {"kind": "finite_scenarios", "scenarios": [
+                    {"omega": [0.0], "p": float("nan")},
+                    {"omega": [1.0], "p": 0.5},
+                ]}},
+                "scenarios: scenario probabilities",
+            ),
+            ({"A_base": [[float("inf"), 1.0], [5.0, 1.0]]}, "A_base"),
+        ],
+    )
+    def test_malformed_problem_file_exits_64(self, tmp_path, capsys, block, field):
+        path = tmp_path / "problem.json"
+        # json.dumps writes the NaN and Infinity literals that json.load reads
+        path.write_text(json.dumps(dict(EX4_1_DOC, **block)), encoding="utf-8")
+        code = main(["run", "--problem-file", str(path), "--x0", "1.0,3.0"])
+        err = capsys.readouterr().err
+        assert code == 64
+        assert field in err
+        assert "Traceback" not in err
+
     def test_solver_override_is_validated(self, capsys):
         code = main(["run", "--example", "ex4_1", "--rho", "1.5"])
         assert code == 64

@@ -89,6 +89,26 @@ class TestProblemValidation:
         # a 1e-13 defect is inside the tolerance
         FiniteScenarios([[0.0], [1.0]], [0.5, 0.5 - 1e-13])
 
+    def test_non_finite_probabilities_and_weights_rejected(self):
+        with pytest.raises(ValueError, match="probabilities"):
+            FiniteScenarios([[0.0], [1.0]], [np.nan, 0.5])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="weights"):
+                SampleSet([[0.0], [1.0]], [1.0, bad])
+
+    def test_non_finite_coefficients_rejected(self):
+        inf_matrix = np.array([[np.inf, 0.0], [0.0, 1.0]])
+        nan_vector = np.array([np.nan, 0.0])
+        cases = {
+            "A_base": (inf_matrix, [np.eye(2)], np.zeros(2), [np.ones(2)]),
+            r"A_terms\[0\]": (np.eye(2), [inf_matrix], np.zeros(2), [np.ones(2)]),
+            "b_base": (np.eye(2), [np.eye(2)], nan_vector, [np.ones(2)]),
+            r"b_terms\[0\]": (np.eye(2), [np.eye(2)], np.zeros(2), [nan_vector]),
+        }
+        for field, args in cases.items():
+            with pytest.raises(ValueError, match=field):
+                StochasticProblem(*args)
+
 
 class TestResidual:
     def test_exact_solution_ex4_1(self, ex4_1):

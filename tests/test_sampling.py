@@ -118,3 +118,13 @@ class TestGenerate:
             SamplerSpec("halton", count=0, dim=1)
         with pytest.raises(ValueError, match="offset"):
             SamplerSpec("halton", count=1, dim=1, offset=-1)
+
+    @pytest.mark.parametrize("field", ["count", "dim", "seed", "offset"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    def test_spec_integer_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SamplerSpec("halton", **{"count": 3, "dim": 1, field: value})
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = SamplerSpec("halton", np.int64(3), np.int32(1), np.uint64(5), np.int8(2))
+        assert (spec.count, spec.dim, spec.seed, spec.offset) == (3, 1, 5, 2)

@@ -46,11 +46,20 @@ class TestSolverConfig:
             {"epsilon": 0.0},
             {"max_iter": 0},
             {"max_backtracks": 0},
+            {"mu0": math.inf},
+            {"epsilon": math.nan},
+            {"max_iter": 7.5},
+            {"max_iter": 100.0},
+            {"max_backtracks": True},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(max_iter=np.int64(5), max_backtracks=np.int32(3))
+        assert (cfg.max_iter, cfg.max_backtracks) == (5, 3)
 
 
 class TestArmijo:
