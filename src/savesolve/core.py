@@ -12,6 +12,11 @@ sample-average squared-residual objective, and the smoothed objective obtained
 by replacing |x| with sqrt(x^2 + mu), together with the exact Jacobian and
 gradient of the smoothed residual.
 
+The residual at w is [1; w]^T R with R the (m + 1) x n affine rows at x, so
+the sample average is evaluated as tr(R^T M R) through the weighted moments M
+of [1; w], fixed once per sample set: objective and gradient calls cost
+O(m n^2 + m^2 n) whatever the sample count.
+
 All operations are pure functions of their inputs; problem and sample objects
 are treated as read-only after construction, so they are safe to share across
 concurrent solves.
@@ -188,6 +193,9 @@ class SampleSet:
     Weights are the density values carried through the sample average: 1 for
     uniform-box draws, count * p_i for finite scenarios so the weighted mean
     reproduces the exact expectation.
+
+    Construction fixes the moments M = (1/N) sum_i weights[i] u_i u_i^T of
+    u_i = [1; points[i]] and a factor F with F^T F = M.
     """
 
     points: np.ndarray
@@ -198,6 +206,12 @@ class SampleSet:
         self.weights = _positive_weights(
             self.weights, self.points.shape[0], "sample weights"
         )
+        U = np.column_stack([np.ones(self.N), self.points])
+        self._moments = (U.T * self.weights) @ U / self.N
+        # M is singular when N <= m, and rounding can leave its zero
+        # eigenvalues slightly negative
+        lam, V = np.linalg.eigh(self._moments)
+        self._factor = np.sqrt(np.maximum(lam, 0.0))[:, None] * V.T
 
     @property
     def N(self) -> int:
@@ -263,29 +277,38 @@ def smooth_abs(t, mu: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _affine_rows(problem, x, psi):
+    """[A_base x - psi - b_base; A_j x - b_j for each j], shape (m + 1, n):
+    the residual at w is [1; w]^T times these rows."""
+    return np.vstack([
+        problem.A_base @ x - psi - problem.b_base,
+        problem._A_stack @ x - problem._b_stack,
+    ])
+
+
 def _residual_matrix(problem, points, x, psi):
-    """Row i is A(w_i) x - psi - b(w_i) for the i-th row w_i of points,
-    assembled through the affine terms."""
-    base = problem.A_base @ x - psi - problem.b_base
-    span = problem._A_stack @ x - problem._b_stack  # (m, n)
-    return base[None, :] + points @ span
+    """Row i is A(w_i) x - psi - b(w_i) for the i-th row w_i of points."""
+    R = _affine_rows(problem, x, psi)
+    return R[0] + points @ R[1:]
 
 
-def _affine_adjoint(problem, points, Z, s0, local):
-    """sum_i A(w_i)^T z_i - local, with z_i the rows of Z and s0 = sum_i z_i.
+def _affine_adjoint(problem, S, local):
+    """sum_j A_j^T S_j - local over the moment rows S, shape (m + 1, n),
+    with A_0 = A_base: the transpose of _affine_rows in x.
 
-    The transpose of _residual_matrix: no per-point matrix is formed.
+    For points w_i and rows z_i, S = [1, points]^T Z gives
+    sum_i A(w_i)^T z_i - local, with no per-point matrix formed.
     """
-    g = problem.A_base.T @ s0 - local
+    g = problem.A_base.T @ S[0] - local
     if problem.m:
-        # sum_j A_j^T (sum_i omega_ij z_i)
-        g += np.einsum("jkl,jk->l", problem._A_stack, points.T @ Z)
+        g += np.einsum("jkl,jk->l", problem._A_stack, S[1:])
     return g
 
 
-def _weighted_mean_square(R, samples):
-    sq = np.einsum("ij,ij->i", R, R)
-    return float(sq @ samples.weights / samples.N)
+def _mean_square(samples, R):
+    """(1/N) sum_i w_i ||[1; w_i]^T R||^2 = ||F R||_F^2, a sum of squares."""
+    FR = samples._factor @ R
+    return float(np.vdot(FR, FR))
 
 
 def erm_objective(problem: StochasticProblem, samples: SampleSet, x) -> float:
@@ -297,8 +320,7 @@ def erm_objective(problem: StochasticProblem, samples: SampleSet, x) -> float:
     """
     _check_samples(problem, samples)
     x = _check_vector(x, problem.n, "x")
-    R = _residual_matrix(problem, samples.points, x, np.abs(x))
-    return _weighted_mean_square(R, samples)
+    return _mean_square(samples, _affine_rows(problem, x, np.abs(x)))
 
 
 def smoothed_objective(
@@ -309,8 +331,7 @@ def smoothed_objective(
     _check_samples(problem, samples)
     x = _check_vector(x, problem.n, "x")
     psi = np.sqrt(x * x + mu)
-    R = _residual_matrix(problem, samples.points, x, psi)
-    return _weighted_mean_square(R, samples)
+    return _mean_square(samples, _affine_rows(problem, x, psi))
 
 
 def _check_smooth_point(x: np.ndarray, mu: float) -> None:
@@ -342,16 +363,13 @@ def smoothed_gradient(
     """Exact gradient of smoothed_objective in x.
 
     Equals (2/N) * sum_i w_i J_i^T r_i with J_i the smoothed-residual Jacobian
-    at w_i; evaluated through the affine structure so no per-sample matrix is
-    materialized.
+    at w_i; evaluated as 2 (sum_j A_j^T (M R)_j - (x / psi) (M R)_0) through
+    the sample moments M, so no per-sample row or matrix is materialized.
     """
     mu = _check_mu(mu)
     _check_samples(problem, samples)
     x = _check_vector(x, problem.n, "x")
     _check_smooth_point(x, mu)
     psi = np.sqrt(x * x + mu)
-    R = _residual_matrix(problem, samples.points, x, psi)
-    WR = R * samples.weights[:, None]
-    s0 = WR.sum(axis=0)
-    g = _affine_adjoint(problem, samples.points, WR, s0, (x / psi) * s0)
-    return (2.0 / samples.N) * g
+    S = samples._moments @ _affine_rows(problem, x, psi)
+    return 2.0 * _affine_adjoint(problem, S, (x / psi) * S[0])

@@ -176,9 +176,8 @@ def ev_gradient(inst: EvInstance, x, mu: float) -> np.ndarray:
     dG[0] = (G[0] / s - 1.0) * phi
     dH[0] = (H[0] / s - 1.0) * phi
     Z = dG + dH
-    return _affine_adjoint(
-        inst.problem, inst.points, Z, Z.sum(axis=0), (dH - dG).sum(axis=0)
-    )
+    S = np.vstack([Z.sum(axis=0), inst.points.T @ Z])
+    return _affine_adjoint(inst.problem, S, (dH - dG).sum(axis=0))
 
 
 def ev_residual(inst: EvInstance, x, y) -> np.ndarray:

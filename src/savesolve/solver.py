@@ -19,6 +19,7 @@ argument the method's stationarity guarantee is stated for.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -70,6 +71,10 @@ class SolverConfig:
     max_backtracks: int = 60
 
     def __post_init__(self):
+        for name in ("rho_backtrack", "sigma", "delta", "gamma_bar", "mu0", "epsilon"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         for name in ("rho_backtrack", "sigma", "delta", "gamma_bar"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:

@@ -1,8 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from savesolve import (
     ClosedFormInstance,
+    SampleSet,
     SamplerSpec,
     UnsupportedDimensionError,
     as_save_problem,
@@ -173,3 +178,30 @@ class TestOracleAgainstSampling:
             assert erm_objective(problem, samples, x) == pytest.approx(
                 float(per_component.sum()), rel=1e-12
             )
+
+
+def gauss_legendre_box(m):
+    """The tensor 2-point Gauss-Legendre rule on [0,1]^m with equal weights:
+    its average integrates every polynomial of degree 3 in each coordinate
+    exactly, so the sampled objective of a closed-form instance is exact."""
+    nodes = 0.5 + np.array([-0.5, 0.5]) / np.sqrt(3.0)
+    points = np.array(list(itertools.product(nodes, repeat=m)))
+    return SampleSet(points, np.ones(len(points)))
+
+
+class TestExactObjectiveOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 3)
+    )
+    def test_gauss_legendre_average_is_exact(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        T = np.zeros((n, m))
+        T[np.arange(n), rng.integers(0, m, n)] = rng.uniform(0.1, 2.0, n)
+        inst = ClosedFormInstance(
+            rng.uniform(-2.0, 2.0, (n, n)), rng.uniform(-2.0, 2.0, n), T
+        )
+        x = rng.uniform(-3.0, 3.0, n)
+        assert erm_objective(
+            as_save_problem(inst), gauss_legendre_box(m), x
+        ) == pytest.approx(exact_objective(inst, x), rel=1e-12)

@@ -236,6 +236,8 @@ class TestRunCommand:
                 "scenarios: scenario probabilities",
             ),
             ({"A_base": [[float("inf"), 1.0], [5.0, 1.0]]}, "A_base"),
+            ({"solver": {"mu0": True}}, "mu0"),
+            ({"solver": {"mu0": "0.1"}}, "mu0"),
         ],
     )
     def test_malformed_problem_file_exits_64(self, tmp_path, capsys, block, field):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from savesolve import (
     FiniteScenarios,
@@ -18,6 +22,7 @@ from savesolve import (
     smoothed_gradient,
     smoothed_jacobian,
     smoothed_objective,
+    solve,
 )
 
 
@@ -33,6 +38,60 @@ def ex2_1():
 
 def one_sample(*omega):
     return SampleSet(np.array([omega], dtype=float), np.ones(1))
+
+
+def random_sampled_problem(rng, n, m, N, near):
+    """A dense affine instance on the box with N weighted points in
+    [-1, 2]^m.  When near is set, every residual vanishes at some x_star and
+    the returned x is a small perturbation of it, so the rows cancel."""
+    A_base = rng.uniform(-2.0, 2.0, (n, n))
+    A_terms = rng.uniform(-2.0, 2.0, (m, n, n))
+    if near:
+        x_star = rng.uniform(-3.0, 3.0, n)
+        b_base = A_base @ x_star - np.abs(x_star)
+        b_terms = A_terms @ x_star
+        x = x_star + 10.0 ** rng.uniform(-9, -3) * rng.uniform(-1.0, 1.0, n)
+    else:
+        b_base = rng.uniform(-2.0, 2.0, n)
+        b_terms = rng.uniform(-2.0, 2.0, (m, n))
+        x = rng.uniform(-3.0, 3.0, n)
+    problem = StochasticProblem(A_base, list(A_terms), b_base, list(b_terms))
+    samples = SampleSet(rng.uniform(-1.0, 2.0, (N, m)), rng.uniform(0.5, 1.5, N))
+    return problem, samples, x
+
+
+def direct_erm(problem, samples, x, mu):
+    """The smoothed objective and its gradient by an explicit loop over the
+    samples, each with the same sum taken over the absolute values of its
+    terms: the scale that rounding errors are relative to when terms cancel.
+    """
+    psi = np.sqrt(x * x + mu)
+    A_abs = [np.abs(problem.A_base)] + [np.abs(t) for t in problem.A_terms]
+    b_abs = [np.abs(problem.b_base)] + [np.abs(t) for t in problem.b_terms]
+    value = value_scale = 0.0
+    grad = np.zeros(problem.n)
+    grad_scale = np.zeros(problem.n)
+    for w, weight in zip(samples.points, samples.weights):
+        r = eval_A(problem, w) @ x - psi - eval_b(problem, w)
+        u = np.abs(np.concatenate([[1.0], w]))
+        # every term of r, and every matrix entry of J, by absolute value
+        r_abs = psi + sum(c * (a @ np.abs(x) + b) for c, a, b in zip(u, A_abs, b_abs))
+        J_abs = sum(c * a for c, a in zip(u, A_abs)) + np.diag(np.abs(x) / psi)
+        value += weight * float(r @ r)
+        value_scale += weight * float(r_abs @ r_abs)
+        grad += 2.0 * weight * smoothed_jacobian(problem, x, w, mu).T @ r
+        grad_scale += 2.0 * weight * J_abs.T @ r_abs
+    N = samples.N
+    return value / N, value_scale / N, grad / N, float(np.linalg.norm(grad_scale)) / N
+
+
+sampled_shapes = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    m=st.integers(0, 3),
+    N=st.integers(1, 12),
+    near=st.booleans(),
+)
 
 
 class TestEvalCoefficients:
@@ -179,7 +238,7 @@ class TestErmObjective:
                 for w, p in zip(ex2_1.distribution.omegas, ex2_1.distribution.probs)
             )
             assert erm_objective(ex2_1, samples, x) == pytest.approx(
-                expected, abs=1e-12
+                expected, rel=1e-12
             )
 
     def test_sample_dimension_checked(self, ex4_1):
@@ -277,3 +336,73 @@ class TestSmoothedGradient:
             )
             err = np.linalg.norm(analytic - numeric)
             assert err <= 1e-5 * np.linalg.norm(numeric) + 1e-8
+
+    @settings(max_examples=100, deadline=None)
+    @given(**sampled_shapes)
+    def test_random_instances_match_central_differences(self, seed, n, m, N, near):
+        rng = np.random.default_rng(seed)
+        problem, samples, x = random_sampled_problem(rng, n, m, N, near)
+        mu = 10.0 ** rng.uniform(-6, -1)
+        analytic = smoothed_gradient(problem, samples, x, mu)
+        numeric = fd_gradient(
+            lambda z: smoothed_objective(problem, samples, z, mu), x, h=1e-6
+        )
+        err = np.linalg.norm(analytic - numeric)
+        assert err <= 1e-5 * np.linalg.norm(numeric) + 1e-8
+
+
+class TestSampleMoments:
+    """The moment evaluation against explicit per-sample summation, and its
+    cost: nothing of size N is formed per call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**sampled_shapes)
+    def test_matches_direct_summation(self, seed, n, m, N, near):
+        # N <= m leaves the moment matrix singular
+        rng = np.random.default_rng(seed)
+        problem, samples, x = random_sampled_problem(rng, n, m, N, near)
+        mu = 10.0 ** rng.uniform(-6, -1)
+        value, value_scale, grad, grad_scale = direct_erm(problem, samples, x, mu)
+        got = smoothed_objective(problem, samples, x, mu)
+        assert abs(got - value) <= 1e-12 * value_scale
+        got = smoothed_gradient(problem, samples, x, mu)
+        assert np.linalg.norm(got - grad) <= 1e-12 * grad_scale
+        value, value_scale, _, _ = direct_erm(problem, samples, x, 0.0)
+        assert abs(erm_objective(problem, samples, x) - value) <= 1e-12 * value_scale
+
+    def test_per_call_memory_is_independent_of_sample_count(self):
+        problem = builtin_example("ex4_4", 50)
+        N = 200_000
+        samples = SampleSet(np.linspace(0.0, 1.0, N)[:, None], np.ones(N))
+        x = np.linspace(0.5, 1.5, 50)
+        calls = (
+            lambda: smoothed_objective(problem, samples, x, 1e-3),
+            lambda: smoothed_gradient(problem, samples, x, 1e-3),
+            lambda: erm_objective(problem, samples, x),
+        )
+        for call in calls:
+            call()
+        tracemalloc.start()
+        try:
+            for call in calls:
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one N x n residual matrix alone would be 80 MB
+        assert peak < 1_000_000
+
+    def test_factorised_once_per_solve(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        problem = builtin_example("ex4_4", 20)
+        samples = generate(SamplerSpec("halton", count=100, dim=1), problem)
+        report = solve(problem, samples, np.zeros(20))
+        assert report.iterations > 10
+        assert calls == [(2, 2)]

@@ -51,6 +51,8 @@ class TestSolverConfig:
             {"max_iter": 7.5},
             {"max_iter": 100.0},
             {"max_backtracks": True},
+            {"mu0": True},
+            {"mu0": "0.1"},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
