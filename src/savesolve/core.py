@@ -301,7 +301,7 @@ def _affine_adjoint(problem, S, local):
     """
     g = problem.A_base.T @ S[0] - local
     if problem.m:
-        g += np.einsum("jkl,jk->l", problem._A_stack, S[1:])
+        g += S[1:].ravel() @ problem._A_stack.reshape(-1, problem.n)
     return g
 
 

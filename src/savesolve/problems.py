@@ -261,14 +261,18 @@ def _sampler_from_dict(raw, m: int) -> SamplerSpec:
     )
 
 
+def _read_json(path):
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ProblemFormatError(f"invalid JSON: {exc}") from None
+
+
 def load_problem_file(path):
     """Read a problem file; returns (problem, solver config or None,
     sampler spec or None)."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(f"invalid JSON: {exc}") from None
+    data = _read_json(path)
     problem = problem_from_dict(data)
     cfg = _solver_from_dict(data["solver"]) if "solver" in data else None
     spec = _sampler_from_dict(data["sampler"], problem.m) if "sampler" in data else None
@@ -289,9 +293,4 @@ def case2_from_dict(data) -> ClosedFormInstance:
 
 
 def load_case2_file(path) -> ClosedFormInstance:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(f"invalid JSON: {exc}") from None
-    return case2_from_dict(data)
+    return case2_from_dict(_read_json(path))

@@ -3,11 +3,15 @@
 Three sampler kinds: seeded pseudorandom uniforms on [0,1]^m, deterministic
 Halton low-discrepancy points (first m primes as bases, indices starting at
 offset + 1), and passthrough of a problem's finite scenarios with their
-probability weights.
+probability weights.  Halton coordinates reverse the digits of a whole int64
+index array one digit at a time, so every index must stay below 2**63.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,53 +50,48 @@ class SamplerSpec:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def _first_primes(k: int) -> list[int]:
-    primes: list[int] = []
-    c = 2
-    while len(primes) < k:
-        if _is_prime(c):
-            primes.append(c)
-        c += 1
-    return primes
+    return list(itertools.islice(filter(_is_prime, itertools.count(2)), k))
 
 
-def radical_inverse(index: int, base: int) -> float:
-    """Digit reversal of index in the given prime base, a value in [0, 1)."""
-    index = int(index)
-    if index < 0:
-        raise ValueError("index must be nonnegative")
+def radical_inverse(index: int | np.ndarray, base: int) -> float | np.ndarray:
+    """Digit reversal of index in the given prime base, a value in [0, 1).
+
+    index is a nonnegative integer below 2**63 or an array of them; an array
+    gives a float array of the same shape, a scalar a float.
+    """
+    idx = np.asarray(index)
+    if idx.dtype.kind not in "iu" or idx.size and not 0 <= idx.min() <= idx.max() < 2**63:
+        raise ValueError(f"index must be an integer in [0, 2**63), got {index!r}")
     base = int(base)
     if not _is_prime(base):
         raise ValueError(f"base must be a prime >= 2, got {base}")
+    idx = idx.astype(np.int64)
     f = 1.0
-    r = 0.0
-    while index > 0:
-        index, digit = divmod(index, base)
+    r = np.zeros(idx.shape)
+    while idx.any():
+        idx, digit = np.divmod(idx, base)
         f /= base
         r += f * digit
-    return r
+    return float(r) if r.ndim == 0 else r
 
 
 def halton_points(count: int, dim: int, offset: int = 0) -> np.ndarray:
     """First `count` Halton points in [0,1)^dim, starting at index offset + 1.
 
     Successive calls with growing count share a prefix, so nested observation
-    sets are the leading rows of a larger set.
+    sets are the leading rows of a larger set.  offset + count must be below 2**63.
     """
-    bases = _first_primes(dim)
+    offset = operator.index(offset)
+    if offset + count >= 2**63:
+        raise ValueError(f"offset + count must be below 2**63, got offset {offset}")
+    index = np.arange(count) + offset + 1
     out = np.empty((count, dim))
-    for j, base in enumerate(bases):
-        out[:, j] = [radical_inverse(offset + 1 + i, base) for i in range(count)]
+    for j, base in enumerate(_first_primes(dim)):
+        out[:, j] = radical_inverse(index, base)
     return out
 
 

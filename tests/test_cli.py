@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -250,6 +251,15 @@ class TestRunCommand:
         assert field in err
         assert "Traceback" not in err
 
+    def test_offset_beyond_int64_exits_64(self, capsys):
+        code = main(
+            ["run", "--example", "ex4_1", "--N", "10", "--offset", str(2**63 - 1)]
+        )
+        err = capsys.readouterr().err
+        assert code == 64
+        assert "offset" in err
+        assert "Traceback" not in err
+
     def test_solver_override_is_validated(self, capsys):
         code = main(["run", "--example", "ex4_1", "--rho", "1.5"])
         assert code == 64
@@ -327,3 +337,24 @@ class TestEntryPoints:
             text=True,
         )
         assert proc.returncode == 64
+
+
+class TestDeterminism:
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        # n = 1200 is large enough that OpenBLAS really runs the second thread
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"table{threads}.csv"
+            trace = tmp_path / f"trace{threads}.csv"
+            env = dict(
+                os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
+            )
+            proc = subprocess.run(
+                [sys.executable, "-m", "savesolve", "run", "--example", "ex4_4",
+                 "--n", "1200", "--N", "50", "--max-iter", "50", "--x0-seed", "3",
+                 "--out", str(out), "--trace", str(trace)],
+                capture_output=True,
+                env=env,
+            )
+            outputs.append((proc.returncode, out.read_bytes(), trace.read_bytes()))
+        assert outputs[0] == outputs[1]

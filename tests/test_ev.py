@@ -99,6 +99,18 @@ def ev2_1(ex2_1):
     return expected_instance(ex2_1)
 
 
+magnitude = st.one_of(st.just(0.0), st.floats(1e-150, 1e150))
+signed = st.tuples(magnitude, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@st.composite
+def fb_pairs(draw):
+    if draw(st.integers(0, 2)) == 0:  # a third on the complementarity set
+        c = draw(magnitude)
+        return (c, 0.0) if draw(st.booleans()) else (0.0, c)
+    return draw(signed), draw(signed)
+
+
 class TestFb:
     def test_origin(self):
         assert fb(0.0, 0.0) == 0.0
@@ -122,6 +134,19 @@ class TestFb:
             lhs = abs(fb(a, b)) <= 1e-10
             rhs = a >= -1e-8 and b >= -1e-8 and abs(a * b) <= 1e-8
             assert lhs == rhs
+
+
+    @settings(max_examples=500, deadline=None)
+    @given(fb_pairs())
+    def test_growth_bound(self, pair):
+        # (2 - sqrt 2) |min(a, b)| <= |fb(a, b)| <= (2 + sqrt 2) |min(a, b)|
+        a, b = pair
+        value, low = abs(fb(a, b)), abs(min(a, b))
+        slack = 4 * np.finfo(float).eps * max(abs(a), abs(b))
+        assert (2 - np.sqrt(2)) * low - slack <= value
+        assert value <= (2 + np.sqrt(2)) * low + slack
+        if min(a, b) == 0.0:
+            assert value == 0.0
 
 
 class TestSmoothedFb:

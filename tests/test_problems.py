@@ -2,12 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from savesolve import (
     FiniteScenarios,
     ProblemFormatError,
     SamplerSpec,
     SolverConfig,
+    StochasticProblem,
+    UniformBox,
     builtin_example,
     case2_from_dict,
     expected_instance,
@@ -28,6 +32,27 @@ VALID_DOC = {
     "b_terms": [[1.0, 3.0]],
     "distribution": {"kind": "uniform_box"},
 }
+
+
+@st.composite
+def any_problem(draw):
+    n, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    def array(*shape):
+        size = int(np.prod(shape))
+        values = draw(st.lists(finite, min_size=size, max_size=size))
+        return np.array(values).reshape(shape)
+
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 4))
+        weights = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=k, max_size=k)))
+        distribution = FiniteScenarios(array(k, m), weights / weights.sum())
+    else:
+        distribution = UniformBox()
+    return StochasticProblem(
+        array(n, n), list(array(m, n, n)), array(n), list(array(m, n)), distribution
+    )
 
 
 class TestBuiltinExamples:
@@ -101,6 +126,22 @@ class TestProblemDocuments:
         text = json.dumps(problem_to_dict(problem))
         again = problem_from_dict(json.loads(text))
         np.testing.assert_array_equal(problem.A_base, again.A_base)
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_problem())
+    def test_json_round_trip_reproduces_every_array(self, problem):
+        again = problem_from_dict(json.loads(json.dumps(problem_to_dict(problem))))
+        pairs = [(problem.A_base, again.A_base), (problem.b_base, again.b_base)]
+        pairs += list(zip(problem.A_terms, again.A_terms))
+        pairs += list(zip(problem.b_terms, again.b_terms))
+        assert type(again.distribution) is type(problem.distribution)
+        if isinstance(problem.distribution, FiniteScenarios):
+            pairs.append((problem.distribution.omegas, again.distribution.omegas))
+            pairs.append((problem.distribution.probs, again.distribution.probs))
+        assert again.m == problem.m
+        for before, after in pairs:
+            assert after.shape == before.shape
+            assert after.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize(
         "mutate,field",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from savesolve import (
     SamplerSpec,
@@ -8,6 +10,35 @@ from savesolve import (
     halton_points,
     radical_inverse,
 )
+
+
+def scalar_radical_inverse(index, base):
+    """The scalar float loop the vectorised digit reversal must reproduce
+    bit for bit."""
+    f, r = 1.0, 0.0
+    while index > 0:
+        index, digit = divmod(index, base)
+        f /= base
+        r += f * digit
+    return r
+
+
+def scalar_halton(count, dim, offset):
+    bases = [2, 3, 5, 7, 11, 13, 17, 19][:dim]
+    rows = [
+        [scalar_radical_inverse(offset + 1 + i, b) for b in bases] for i in range(count)
+    ]
+    return np.array(rows, dtype=float).reshape(count, dim)
+
+
+@st.composite
+def halton_args(draw):
+    count = draw(st.integers(0, 300))
+    dim = draw(st.integers(0, 8))
+    low = st.integers(0, 2**62)
+    # offsets whose last index offset + count lies within count of 2**63 - 1
+    top = st.integers(0, count).map(lambda back: 2**63 - 1 - count - back)
+    return count, dim, draw(st.one_of(low, top))
 
 
 class TestRadicalInverse:
@@ -29,6 +60,23 @@ class TestRadicalInverse:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="index"):
             radical_inverse(-1, 2)
+
+    def test_array_matches_scalar_calls(self):
+        index = np.array([[0, 1, 6], [12345, 2**40 + 7, 2**63 - 1]])
+        for base in (2, 3, 7):
+            values = radical_inverse(index, base)
+            assert values.shape == index.shape
+            expected = [[radical_inverse(int(i), base) for i in row] for row in index]
+            assert values.tobytes() == np.array(expected).tobytes()
+
+    def test_scalar_call_returns_float(self):
+        assert type(radical_inverse(6, 2)) is float
+        assert type(radical_inverse(np.int64(6), 3)) is float
+
+    @pytest.mark.parametrize("index", [2.5, 2.0, True, 2**63])
+    def test_non_int64_index_rejected(self, index):
+        with pytest.raises(ValueError, match="index"):
+            radical_inverse(index, 2)
 
 
 class TestHalton:
@@ -61,6 +109,19 @@ class TestHalton:
         i = np.arange(1, N + 1)
         dstar = max(np.max(np.abs(i / N - pts)), np.max(np.abs((i - 1) / N - pts)))
         assert dstar <= 2.0 / N
+
+    @settings(max_examples=60, deadline=None)
+    @given(halton_args())
+    def test_matches_scalar_reference_bitwise(self, args):
+        points = halton_points(*args)
+        expected = scalar_halton(*args)
+        assert points.shape == expected.shape
+        assert points.tobytes() == expected.tobytes()
+
+    def test_last_index_bound(self):
+        assert halton_points(3, 1, 2**63 - 4).shape == (3, 1)
+        with pytest.raises(ValueError, match="offset"):
+            halton_points(3, 1, 2**63 - 3)
 
     @pytest.mark.parametrize("N", [16, 256])
     def test_mean_close_to_half(self, N):
