@@ -7,7 +7,8 @@ Subcommands:
   oracle  evaluate the closed-form expected objective, optionally against a
           quasi-random estimate
 
-Exit codes: 0 converged, 2 iteration cap, 3 line-search failure, 64 bad input.
+Exit codes: 0 converged, 2 iteration cap, 3 line-search failure, 4 non-finite
+objective or gradient, 64 bad input; over an --N sweep the largest code wins.
 For verify, 0 means every check passed and 1 that at least one failed.
 """
 
@@ -43,12 +44,14 @@ from .solver import SolveStatus, SolverConfig
 EXIT_OK = 0
 EXIT_ITERATION_CAP = 2
 EXIT_LINE_SEARCH = 3
+EXIT_NON_FINITE = 4
 EXIT_BAD_INPUT = 64
 
 _STATUS_CODES = {
     SolveStatus.CONVERGED: EXIT_OK,
     SolveStatus.ITERATION_CAP: EXIT_ITERATION_CAP,
     SolveStatus.LINE_SEARCH_FAILURE: EXIT_LINE_SEARCH,
+    SolveStatus.NON_FINITE: EXIT_NON_FINITE,
 }
 
 

@@ -9,8 +9,9 @@ families affine in the random vector w:
 w is either uniform on [0,1]^m (unit density) or supported on finitely many
 weighted scenarios.  The module evaluates residuals, the weighted
 sample-average squared-residual objective, and the smoothed objective obtained
-by replacing |x| with sqrt(x^2 + mu), together with the exact Jacobian and
-gradient of the smoothed residual.
+by replacing |x| with smooth_abs(x, mu) = sqrt(x^2 + mu), together with the
+exact Jacobian and gradient of the smoothed residual.  smooth_abs is the one
+home of that rule for both routes, and _check_kink the one test for its kink.
 
 The residual at w is [1; w]^T R with R the (m + 1) x n affine rows at x, so
 the sample average is evaluated as tr(R^T M R) through the weighted moments M
@@ -24,6 +25,7 @@ concurrent solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,7 +51,7 @@ PROBABILITY_TOL = 1e-12
 
 
 class NonsmoothPointError(ValueError):
-    """Derivative of |.| requested at a kink (mu = 0 with some x_j = 0)."""
+    """Derivative of |.| requested at a kink (mu = 0 with a zero argument)."""
 
 
 def _finite_array(value, name: str) -> np.ndarray:
@@ -229,13 +231,6 @@ def _check_vector(v, size: int, name: str) -> np.ndarray:
     return arr
 
 
-def _check_mu(mu: float) -> float:
-    mu = float(mu)
-    if not mu >= 0.0:
-        raise ValueError(f"mu must be nonnegative, got {mu!r}")
-    return mu
-
-
 def _check_samples(problem: StochasticProblem, samples: SampleSet) -> None:
     if samples.dim != problem.m:
         raise ValueError(
@@ -267,14 +262,25 @@ def residual(problem: StochasticProblem, x, omega) -> np.ndarray:
 
 
 def smooth_abs(t, mu: float):
-    """sqrt(t^2 + mu), the smooth stand-in for |t|; exact at mu = 0.
+    """sqrt(t^2 + mu), the smooth stand-in for |t|, as hypot(t, sqrt(mu)):
+    exactly |t| at mu = 0, and finite for every finite t.
 
     Accepts a scalar or an array and matches the input shape.
     """
-    mu = _check_mu(mu)
-    t_arr = np.asarray(t, dtype=float)
-    out = np.sqrt(t_arr * t_arr + mu)
+    mu = float(mu)
+    if not mu >= 0.0:
+        raise ValueError(f"mu must be nonnegative, got {mu!r}")
+    out = np.hypot(np.asarray(t, dtype=float), math.sqrt(mu))
     return float(out) if out.ndim == 0 else out
+
+
+def _check_kink(psi: np.ndarray) -> np.ndarray:
+    """psi unchanged; a NonsmoothPointError where this smooth_abs value is 0."""
+    if not psi.all():  # psi >= 0, so all() fails exactly where some psi is 0
+        raise NonsmoothPointError(
+            "not differentiable at a kink of |.|: mu = 0 with a zero argument"
+        )
+    return psi
 
 
 def _affine_rows(problem, x, psi):
@@ -316,44 +322,30 @@ def erm_objective(problem: StochasticProblem, samples: SampleSet, x) -> float:
 
     The value is (1/N) * sum_i w_i ||r_i||^2; with the count * p_i weight
     convention for finite scenarios this equals the exact expectation
-    sum_i p_i ||r_i||^2.
+    sum_i p_i ||r_i||^2.  It is smoothed_objective at mu = 0.
     """
-    _check_samples(problem, samples)
-    x = _check_vector(x, problem.n, "x")
-    return _mean_square(samples, _affine_rows(problem, x, np.abs(x)))
+    return smoothed_objective(problem, samples, x, 0.0)
 
 
 def smoothed_objective(
     problem: StochasticProblem, samples: SampleSet, x, mu: float
 ) -> float:
-    """erm_objective with |x| replaced by sqrt(x^2 + mu); equal at mu = 0."""
-    mu = _check_mu(mu)
+    """erm_objective with |x| replaced by smooth_abs(x, mu); equal at mu = 0."""
     _check_samples(problem, samples)
     x = _check_vector(x, problem.n, "x")
-    psi = np.sqrt(x * x + mu)
-    return _mean_square(samples, _affine_rows(problem, x, psi))
-
-
-def _check_smooth_point(x: np.ndarray, mu: float) -> None:
-    if mu == 0.0 and np.any(x == 0.0):
-        raise NonsmoothPointError(
-            "the smoothed residual is not differentiable at mu = 0 "
-            "with a zero component in x"
-        )
+    return _mean_square(samples, _affine_rows(problem, x, smooth_abs(x, mu)))
 
 
 def smoothed_jacobian(problem: StochasticProblem, x, omega, mu: float) -> np.ndarray:
-    """Jacobian of the smoothed residual: A(w) - diag(x_j / sqrt(x_j^2 + mu)).
+    """Jacobian of the smoothed residual: A(w) - diag(x_j / smooth_abs(x_j, mu)).
 
     mu = 0 is accepted only when no component of x vanishes; otherwise the
     point is a kink of |.| and a NonsmoothPointError is raised.
     """
-    mu = _check_mu(mu)
     x = _check_vector(x, problem.n, "x")
-    _check_smooth_point(x, mu)
+    psi = _check_kink(smooth_abs(x, mu))
     J = eval_A(problem, omega)
-    d = x / np.sqrt(x * x + mu)
-    J[np.diag_indices_from(J)] -= d
+    J[np.diag_indices_from(J)] -= x / psi
     return J
 
 
@@ -366,10 +358,8 @@ def smoothed_gradient(
     at w_i; evaluated as 2 (sum_j A_j^T (M R)_j - (x / psi) (M R)_0) through
     the sample moments M, so no per-sample row or matrix is materialized.
     """
-    mu = _check_mu(mu)
     _check_samples(problem, samples)
     x = _check_vector(x, problem.n, "x")
-    _check_smooth_point(x, mu)
-    psi = np.sqrt(x * x + mu)
+    psi = _check_kink(smooth_abs(x, mu))
     S = samples._moments @ _affine_rows(problem, x, psi)
     return 2.0 * _affine_adjoint(problem, S, (x / psi) * S[0])

@@ -12,10 +12,11 @@ nonnegativity constraints are kept alongside it.  The componentwise residual
     phi(a, b) = sqrt(a^2 + b^2) - a - b
 
 vanishes exactly on the complementarity set, so the whole system becomes a
-square constrained root-finding problem.  Its slack variables enter linearly
-with nonnegativity bounds, and minimizing them out analytically leaves an
-unconstrained least-squares objective in x that the smoothing gradient
-machinery can handle directly.
+square constrained root-finding problem.  It is smoothed with core's one
+rule and kink check: sqrt(a^2 + b^2 + mu) is smooth_abs(hypot(a, b), mu).
+Its slack variables enter linearly with nonnegativity bounds, and minimizing
+them out analytically leaves an unconstrained least-squares objective in x
+that the smoothing gradient machinery can handle directly.
 
 The expected coefficients and every scenario block are the affine family
 evaluated at one row each of a points array (the mean of w, then the
@@ -31,16 +32,16 @@ import numpy as np
 
 from .core import (
     FiniteScenarios,
-    NonsmoothPointError,
     StochasticProblem,
     _affine_adjoint,
-    _check_mu,
+    _check_kink,
     _check_vector,
     _points_array,
     _residual_matrix,
     eval_A,
     eval_b,
     residual,
+    smooth_abs,
 )
 from .solver import SolveReport, SolverConfig, minimize_smoothed
 
@@ -102,11 +103,10 @@ def fb(a, b):
 
 def smoothed_fb(a, b, mu: float):
     """sqrt(a^2 + b^2 + mu) - a - b, a smooth perturbation of fb."""
-    mu = _check_mu(mu)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = np.sqrt(a * a + b * b + mu) - a - b
-    return float(out) if out.ndim == 0 else out
+    out = smooth_abs(np.hypot(a, b), mu) - a - b
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def expected_instance(problem: StochasticProblem) -> EvInstance:
@@ -145,10 +145,9 @@ def ev_objective(inst: EvInstance, x, mu: float) -> float:
     This is the exact minimum over the nonnegative slack variables of half
     the squared constrained-system residual.
     """
-    mu = _check_mu(mu)
     x = _check_vector(x, inst.n, "x")
     G, H = _constraint_rows(inst, x)
-    phi = np.sqrt(G[0] * G[0] + H[0] * H[0] + mu) - G[0] - H[0]
+    phi = smoothed_fb(G[0], H[0], mu)
     slack_G = np.minimum(0.0, G[1:])
     slack_H = np.minimum(0.0, H[1:])
     return 0.5 * (float(phi @ phi) + float(np.vdot(slack_G, slack_G))
@@ -158,15 +157,9 @@ def ev_objective(inst: EvInstance, x, mu: float) -> float:
 def ev_gradient(inst: EvInstance, x, mu: float) -> np.ndarray:
     """Exact gradient of ev_objective in x (mu > 0, or mu = 0 away from
     points where both complementarity arguments vanish)."""
-    mu = _check_mu(mu)
     x = _check_vector(x, inst.n, "x")
     G, H = _constraint_rows(inst, x)
-    s = np.sqrt(G[0] * G[0] + H[0] * H[0] + mu)
-    if mu == 0.0 and np.any(s == 0.0):
-        raise NonsmoothPointError(
-            "the complementarity residual is not differentiable where both "
-            "arguments vanish with mu = 0"
-        )
+    s = _check_kink(smooth_abs(np.hypot(G[0], H[0]), mu))
     phi = s - G[0] - H[0]
     # dG and dH weight the rows of A(w_i) + I and A(w_i) - I.  Row 0 holds
     # d phi_k / dx = (G_k/s_k - 1) row_k(A_bar + I) + (H_k/s_k - 1) row_k(A_bar - I);

@@ -76,6 +76,8 @@ def radical_inverse(index: int | np.ndarray, base: int) -> float | np.ndarray:
         idx, digit = np.divmod(idx, base)
         f /= base
         r += f * digit
+    # above 2**53 the digit sum can round up to 1.0: keep the point in [0, 1)
+    r = np.minimum(r, np.nextafter(1.0, 0.0))
     return float(r) if r.ndim == 0 else r
 
 

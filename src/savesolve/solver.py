@@ -14,6 +14,10 @@ objective.  One outer iteration:
 
 The shrink test is evaluated at the fresh iterate x_{k+1}, which is the
 argument the method's stationarity guarantee is stated for.
+
+The solve ends with status non_finite once f(x_k, mu_k) or its gradient norm
+is not finite, as when a finite start overflows the sum of squares; a
+non-finite trial value just fails the Armijo test.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ class SolveStatus(enum.Enum):
     CONVERGED = "converged"
     ITERATION_CAP = "iteration_cap"
     LINE_SEARCH_FAILURE = "line_search_failure"
+    NON_FINITE = "non_finite"
 
 
 @dataclass(frozen=True)
@@ -145,6 +150,8 @@ def armijo_backtrack(
     )
 
 
+# the non_finite status reports what numpy's overflow warnings would
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def minimize_smoothed(
     objective: Callable[[np.ndarray, float], float],
     gradient: Callable[[np.ndarray, float], np.ndarray],
@@ -156,6 +163,7 @@ def minimize_smoothed(
 
     raw_objective(x), defaulting to objective(x, 0), is the unsmoothed value
     reported alongside the smoothed one in the trace and the final report.
+    A non-finite x0 is a ValueError.
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x0, dtype=float).ravel().copy()
@@ -168,15 +176,18 @@ def minimize_smoothed(
     f_cur = objective(x, mu)
     g = gradient(x, mu)
     gn = float(np.linalg.norm(g))
-    if not (np.isfinite(f_cur) and np.all(np.isfinite(g))):
-        raise ValueError("objective or gradient is not finite at the starting point")
 
     trace = [Iterate(0, x, f_cur, raw_objective(x), gn, mu, 0.0)]
     k = 0
-    status = SolveStatus.ITERATION_CAP
-    while k < cfg.max_iter:
+    while True:
+        if not (np.isfinite(f_cur) and np.isfinite(gn)):
+            status = SolveStatus.NON_FINITE
+            break
         if gn <= cfg.epsilon:
             status = SolveStatus.CONVERGED
+            break
+        if k == cfg.max_iter:
+            status = SolveStatus.ITERATION_CAP
             break
         d = -g
         try:
@@ -198,8 +209,6 @@ def minimize_smoothed(
             g = gradient(x, mu)
             gn = float(np.linalg.norm(g))
         trace.append(Iterate(k, x, f_cur, raw_objective(x), gn, mu, alpha))
-    if status is SolveStatus.ITERATION_CAP and gn <= cfg.epsilon:
-        status = SolveStatus.CONVERGED
 
     return SolveReport(
         x_final=x,
@@ -222,9 +231,10 @@ def solve(
     """Minimize the smoothed sample-average objective of a problem instance.
 
     Stops when the smoothed gradient norm reaches cfg.epsilon (converged),
-    the iteration cap is hit, or the line search fails; the full iterate
-    trace is recorded either way.  f_final is the unsmoothed objective at the
-    final point, f_smoothed_final the smoothed value at the final mu.
+    the iteration cap is hit, the line search fails, or the objective or
+    gradient stops being finite; the full iterate trace is recorded either
+    way.  f_final is the unsmoothed objective at the final point,
+    f_smoothed_final the smoothed value at the final mu.
     """
     return minimize_smoothed(
         lambda z, mu: smoothed_objective(problem, samples, z, mu),

@@ -212,10 +212,25 @@ class TestRunCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("x0", ["1e155,1e155", "1e153,1", "1e200,1e200"])
+    def test_overflowing_finite_start_exits_4(self, x0):
+        # a subprocess, so that any numpy warning would reach stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "savesolve", "run", "--example", "ex4_1",
+             "--x0", x0],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4
+        assert "status=non_finite" in proc.stdout
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_inputs_exit_64(self, tmp_path, capsys):
         assert main(["run", "--example", "nope"]) == 64
         assert main(["run", "--example", "ex4_4", "--N", "10"]) == 64
         assert main(["run", "--example", "ex4_1", "--x0", "abc"]) == 64
+        assert main(["run", "--example", "ex4_1", "--x0", "inf,1"]) == 64
         missing = tmp_path / "missing.json"
         assert main(["run", "--problem-file", str(missing)]) == 64
         capsys.readouterr()

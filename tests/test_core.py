@@ -210,6 +210,18 @@ class TestSmoothAbs:
         out = smooth_abs(np.array([0.0, 3.0]), 0.0)
         np.testing.assert_array_equal(out, [0.0, 3.0])
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(0.0, allow_nan=False, allow_infinity=False),
+    )
+    def test_exact_at_mu_zero_and_finite_for_finite_t(self, t, mu):
+        # subnormal and huge t included: t * t would underflow or overflow
+        exact = np.float64(smooth_abs(t, 0.0))
+        assert exact.tobytes() == np.float64(abs(t)).tobytes()
+        assert np.isfinite(smooth_abs(t, mu))
+        assert smooth_abs(t, mu) >= abs(t)
+
 
 class TestErmObjective:
     def test_zero_at_exact_solution(self, ex4_1):
@@ -293,6 +305,14 @@ class TestSmoothedJacobian:
         with pytest.raises(NonsmoothPointError):
             smoothed_jacobian(ex4_1, [0.0, 1.0], [0.1], 0.0)
 
+    def test_tiny_component_at_mu_zero(self, ex4_1):
+        # x_j^2 underflows to 0 at 1e-170, but x_j is not a kink
+        J = smoothed_jacobian(ex4_1, [1e-170, 1.0], [0.1], 0.0)
+        assert np.all(np.isfinite(J))
+        np.testing.assert_allclose(
+            J, smoothed_jacobian(ex4_1, [1e-100, 1.0], [0.1], 0.0), rtol=1e-12
+        )
+
     def test_large_mu_kills_diagonal_correction(self, ex4_1):
         J = smoothed_jacobian(ex4_1, [1.0, 3.0], [0.2], 1e12)
         np.testing.assert_allclose(J, eval_A(ex4_1, [0.2]), atol=1e-5)
@@ -319,6 +339,14 @@ class TestSmoothedGradient:
         samples = one_sample(0.5)
         with pytest.raises(NonsmoothPointError):
             smoothed_gradient(ex4_1, samples, [1.0, 0.0], 0.0)
+
+    def test_tiny_component_at_mu_zero(self, ex4_1):
+        samples = generate(SamplerSpec("halton", count=20, dim=1), ex4_1)
+        g = smoothed_gradient(ex4_1, samples, [1e-170, 1.0], 0.0)
+        assert np.all(np.isfinite(g))
+        np.testing.assert_allclose(
+            g, smoothed_gradient(ex4_1, samples, [1e-100, 1.0], 0.0), rtol=1e-12
+        )
 
     @pytest.mark.parametrize("example_id", ["ex4_1", "ex4_2"])
     def test_matches_central_differences(self, example_id):

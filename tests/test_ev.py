@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from savesolve import (
     EvInstance,
     FiniteScenarios,
+    NonsmoothPointError,
     SolveStatus,
     SolverConfig,
     StochasticProblem,
@@ -118,6 +119,10 @@ class TestFb:
     def test_point_value(self):
         assert fb(3.0, 4.0) == -2.0  # 5 - 3 - 4
 
+    def test_large_arguments_do_not_overflow(self):
+        assert fb(1e200, 1.0) == -1.0
+        assert np.isfinite(smoothed_fb(-1e200, 1e200, 0.01))
+
     def test_zero_on_nonnegative_axis(self):
         for a in (0.0, 0.5, 2.0, 100.0):
             assert fb(a, 0.0) == 0.0
@@ -152,6 +157,7 @@ class TestFb:
 class TestSmoothedFb:
     def test_origin(self):
         assert smoothed_fb(0.0, 0.0, 0.04) == 0.2
+        assert type(smoothed_fb(0.0, 0.0, 0.04)) is float
 
     def test_mu_zero_matches_fb(self):
         rng = np.random.default_rng(1)
@@ -248,6 +254,13 @@ class TestEvGradient:
             err = np.linalg.norm(analytic - numeric)
             assert err <= 1e-5 * np.linalg.norm(numeric) + 1e-8
 
+
+    def test_kink_rejected(self):
+        # G = H = 0 at x = 0: both complementarity arguments vanish
+        inst = expected_instance(StochasticProblem([[1.0]], [], [0.0], []))
+        with pytest.raises(NonsmoothPointError, match="kink"):
+            ev_gradient(inst, [0.0], 0.0)
+        assert np.all(np.isfinite(ev_gradient(inst, [0.0], 1e-12)))
 
     def test_wrong_length_x_rejected(self, ev2_1):
         with pytest.raises(ValueError, match="x has length"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,13 @@ from savesolve import (
 
 def scalar_radical_inverse(index, base):
     """The scalar float loop the vectorised digit reversal must reproduce
-    bit for bit."""
+    bit for bit, with a sum that rounds up to 1.0 clamped below 1."""
     f, r = 1.0, 0.0
     while index > 0:
         index, digit = divmod(index, base)
         f /= base
         r += f * digit
-    return r
+    return min(r, math.nextafter(1.0, 0.0))
 
 
 def scalar_halton(count, dim, offset):
@@ -117,9 +119,11 @@ class TestHalton:
         expected = scalar_halton(*args)
         assert points.shape == expected.shape
         assert points.tobytes() == expected.tobytes()
+        assert np.all((points >= 0.0) & (points < 1.0))
 
     def test_last_index_bound(self):
         assert halton_points(3, 1, 2**63 - 4).shape == (3, 1)
+        assert halton_points(3, 2, 2**63 - 4).max() < 1.0
         with pytest.raises(ValueError, match="offset"):
             halton_points(3, 1, 2**63 - 3)
 

@@ -13,6 +13,7 @@ from savesolve import (
     armijo_backtrack,
     builtin_example,
     generate,
+    minimize_smoothed,
     smoothed_gradient,
     smoothed_objective,
     solve,
@@ -210,6 +211,26 @@ class TestSolve:
         samples = generate(SamplerSpec("halton", count=4, dim=1), problem)
         with pytest.raises(ValueError, match="finite"):
             solve(problem, samples, [np.nan, 1.0], SolverConfig())
+
+    def test_overflowing_finite_start_ends_non_finite(self):
+        problem = builtin_example("ex4_1")
+        samples = generate(SamplerSpec("halton", count=4, dim=1), problem)
+        report = solve(problem, samples, [1e200, 1e200], SolverConfig())
+        assert report.status is SolveStatus.NON_FINITE
+        assert report.iterations == 0
+
+    def test_gradient_turning_nan_ends_non_finite(self):
+        # f = x^2 with its exact gradient at the start only: after one step
+        # the gradient is NaN, and the solve stops at that iterate
+        report = minimize_smoothed(
+            lambda z, mu: float(z @ z),
+            lambda z, mu: 2.0 * z if z[0] == 1.0 else np.full_like(z, np.nan),
+            [1.0],
+        )
+        assert report.status is SolveStatus.NON_FINITE
+        assert report.iterations == 1
+        assert [it.k for it in report.trace] == [0, 1]
+        assert report.x_final.tolist() == [0.0]
 
     def test_deterministic(self):
         problem = builtin_example("ex4_1")
