@@ -15,7 +15,6 @@ from .bench import (
     UniformRandomStart,
     emit_table,
     emit_trace,
-    parse_table,
     run_experiment,
 )
 from .core import (

@@ -3,7 +3,8 @@
 A run takes a problem, a sampler, a solver configuration, a starting-point
 policy and a route (sample-average minimization or the expected-value
 reduction) and produces one RunRecord plus the full per-iteration report.
-Tables print one row per record with the solution to four decimals and the
+Tables print one row per record: the start and the solution to four decimals
+per coordinate (in .4e scientific notation from magnitude 1e6 on) and the
 objective in four-significant-digit scientific notation; traces are CSV with
 one row per iterate at full precision.
 """
@@ -28,7 +29,6 @@ __all__ = [
     "RunRecord",
     "run_experiment",
     "emit_table",
-    "parse_table",
     "emit_trace",
 ]
 
@@ -73,7 +73,6 @@ class RunRecord:
     x0: np.ndarray = field(default_factory=lambda: np.zeros(0))
     x_star: np.ndarray = field(default_factory=lambda: np.zeros(0))
     f_star: float = float("nan")
-    f_smoothed_star: float = float("nan")
     grad_norm: float = float("nan")
     iterations: int = 0
     mu_final: float = float("nan")
@@ -123,7 +122,6 @@ def run_experiment(
         x0=x0,
         x_star=report.x_final,
         f_star=report.f_final,
-        f_smoothed_star=report.f_smoothed_final,
         grad_norm=report.grad_norm_final,
         iterations=report.iterations,
         mu_final=report.mu_final,
@@ -143,18 +141,11 @@ def _describe_sampler(spec: SamplerSpec) -> str:
 
 
 def _fmt_vector(v: np.ndarray) -> str:
-    return "(" + ",".join(f"{c:.4f}" for c in v) + ")"
+    return "(" + ",".join(f"{c:.4e}" if abs(c) >= 1e6 else f"{c:.4f}" for c in v) + ")"
 
 
 def _fmt_objective(v: float) -> str:
     return f"{v:.3e}"
-
-
-def _parse_vector(text: str) -> np.ndarray:
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise ValueError(f"malformed vector field {text!r}")
-    return np.array([float(c) for c in text[1:-1].split(",")])
 
 
 def _table_rows(records) -> list[list[str]]:
@@ -188,30 +179,6 @@ def emit_table(records, fmt: str = "aligned") -> str:
         cells += [row[c].ljust(widths[c]) for c in range(1, len(row))]
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines) + "\n"
-
-
-def parse_table(text: str) -> list[RunRecord]:
-    """Read a CSV table back into records (printed fields only)."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty table") from None
-    if header != _TABLE_HEADER:
-        raise ValueError(f"unexpected table header {header!r}")
-    records = []
-    for row in reader:
-        if len(row) != len(_TABLE_HEADER):
-            raise ValueError(f"malformed table row {row!r}")
-        records.append(
-            RunRecord(
-                N=int(row[0]),
-                x0=_parse_vector(row[1]),
-                x_star=_parse_vector(row[2]),
-                f_star=float(row[3]),
-            )
-        )
-    return records
 
 
 def emit_trace(report: SolveReport) -> str:

@@ -136,6 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_problem(args):
     if args.problem_file is not None:
+        if args.n is not None:
+            raise ValueError("--n applies only to --example ex4_4, not to --problem-file")
         return load_problem_file(args.problem_file)
     return builtin_example(args.example, n=args.n), None, None
 

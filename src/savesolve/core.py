@@ -13,9 +13,12 @@ by replacing |x| with smooth_abs(x, mu) = sqrt(x^2 + mu), together with the
 exact Jacobian and gradient of the smoothed residual.  smooth_abs is the one
 home of that rule for both routes, and _check_kink the one test for its kink.
 
-The residual at w is [1; w]^T R with R the (m + 1) x n affine rows at x, so
-the sample average is evaluated as tr(R^T M R) through the weighted moments M
-of [1; w], fixed once per sample set: objective and gradient calls cost
+A problem stores the family as two stacks over u = [1; w]: A(w) is
+sum_j u_j _A[j] and b(w) is sum_j u_j _b[j], with row 0 the base.  Every
+affine quantity is one contraction with u.  The residual at w is u^T R, where
+R = _A x - _b with psi taken off row 0 holds the (m + 1) x n affine rows at x,
+so the sample average is evaluated as tr(R^T M R) through the weighted
+moments M of u, fixed once per sample set: objective and gradient calls cost
 O(m n^2 + m^2 n) whatever the sample count.
 
 All operations are pure functions of their inputs; problem and sample objects
@@ -170,22 +173,22 @@ class StochasticProblem:
                 )
         elif not isinstance(self.distribution, UniformBox):
             raise ValueError("distribution must be UniformBox or FiniteScenarios")
-        self.A_base = A_base
-        self.b_base = b_base
-        # the stacks serve vectorized evaluation over many samples; the term
-        # lists are views of their rows, so each term is stored once
-        self._A_stack = np.stack(A_terms) if m else np.zeros((0, n, n))
-        self._b_stack = np.stack(b_terms) if m else np.zeros((0, n))
-        self.A_terms = list(self._A_stack)
-        self.b_terms = list(self._b_stack)
+        # row j of each stack is the coefficient of u_j in u = [1; w], so
+        # every affine quantity is one contraction with u; the public fields
+        # are views of the rows, so each coefficient is stored once
+        self._A = np.stack([A_base, *A_terms])
+        self._b = np.stack([b_base, *b_terms])
+        self.A_base, self.b_base = self._A[0], self._b[0]
+        self.A_terms = list(self._A[1:])
+        self.b_terms = list(self._b[1:])
 
     @property
     def n(self) -> int:
-        return self.A_base.shape[0]
+        return self._A.shape[1]
 
     @property
     def m(self) -> int:
-        return len(self.A_terms)
+        return self._A.shape[0] - 1
 
 
 @dataclass(eq=False)
@@ -208,7 +211,7 @@ class SampleSet:
         self.weights = _positive_weights(
             self.weights, self.points.shape[0], "sample weights"
         )
-        U = np.column_stack([np.ones(self.N), self.points])
+        U = _lift(self.points)
         self._moments = (U.T * self.weights) @ U / self.N
         # M is singular when N <= m, and rounding can leave its zero
         # eigenvalues slightly negative
@@ -239,20 +242,22 @@ def _check_samples(problem: StochasticProblem, samples: SampleSet) -> None:
         )
 
 
+def _lift(points) -> np.ndarray:
+    """u = [1; w] for a point w, or one row [1, w_i] per row w_i of points."""
+    points = np.asarray(points, dtype=float)
+    return np.concatenate([np.ones(points.shape[:-1] + (1,)), points], axis=-1)
+
+
 def eval_A(problem: StochasticProblem, omega) -> np.ndarray:
     """Coefficient matrix A_base + sum_j omega_j * A_terms[j]."""
     omega = _check_vector(omega, problem.m, "omega")
-    if problem.m == 0:
-        return problem.A_base.copy()
-    return problem.A_base + np.tensordot(omega, problem._A_stack, axes=1)
+    return np.tensordot(_lift(omega), problem._A, axes=1)
 
 
 def eval_b(problem: StochasticProblem, omega) -> np.ndarray:
     """Right-hand side b_base + sum_j omega_j * b_terms[j]."""
     omega = _check_vector(omega, problem.m, "omega")
-    if problem.m == 0:
-        return problem.b_base.copy()
-    return problem.b_base + omega @ problem._b_stack
+    return _lift(omega) @ problem._b
 
 
 def residual(problem: StochasticProblem, x, omega) -> np.ndarray:
@@ -285,30 +290,22 @@ def _check_kink(psi: np.ndarray) -> np.ndarray:
 
 def _affine_rows(problem, x, psi):
     """[A_base x - psi - b_base; A_j x - b_j for each j], shape (m + 1, n):
-    the residual at w is [1; w]^T times these rows."""
-    return np.vstack([
-        problem.A_base @ x - psi - problem.b_base,
-        problem._A_stack @ x - problem._b_stack,
-    ])
-
-
-def _residual_matrix(problem, points, x, psi):
-    """Row i is A(w_i) x - psi - b(w_i) for the i-th row w_i of points."""
-    R = _affine_rows(problem, x, psi)
-    return R[0] + points @ R[1:]
+    the residual at w is [1; w]^T times these rows.  psi comes off row 0
+    before b_base, in the order of that formula."""
+    R = problem._A @ x
+    R[0] -= psi
+    R -= problem._b
+    return R
 
 
 def _affine_adjoint(problem, S, local):
     """sum_j A_j^T S_j - local over the moment rows S, shape (m + 1, n),
     with A_0 = A_base: the transpose of _affine_rows in x.
 
-    For points w_i and rows z_i, S = [1, points]^T Z gives
+    For points w_i and rows z_i, S = U^T Z with U = _lift(points) gives
     sum_i A(w_i)^T z_i - local, with no per-point matrix formed.
     """
-    g = problem.A_base.T @ S[0] - local
-    if problem.m:
-        g += S[1:].ravel() @ problem._A_stack.reshape(-1, problem.n)
-    return g
+    return S.ravel() @ problem._A.reshape(-1, problem.n) - local
 
 
 def _mean_square(samples, R):

@@ -20,8 +20,8 @@ that the smoothing gradient machinery can handle directly.
 
 The expected coefficients and every scenario block are the affine family
 evaluated at one row each of a points array (the mean of w, then the
-scenario points), so both come from core's affine residual rows and no
-per-scenario matrix is ever formed.
+scenario points), so with U = [1, points] both are U @ R over core's affine
+residual rows R, and no per-scenario matrix is ever formed.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ from .core import (
     FiniteScenarios,
     StochasticProblem,
     _affine_adjoint,
+    _affine_rows,
     _check_kink,
     _check_vector,
+    _lift,
     _points_array,
-    _residual_matrix,
     eval_A,
     eval_b,
     residual,
@@ -65,6 +66,7 @@ class EvInstance:
 
     Row 0 of points is the mean of w, which gives the expected coefficients;
     each further row is one scenario point, which gives one constraint block.
+    Construction fixes U = [1, points], the lifted points u = [1; w].
     """
 
     problem: StochasticProblem
@@ -77,6 +79,7 @@ class EvInstance:
                 f"points have dimension {self.points.shape[1]}, "
                 f"expected {self.problem.m}"
             )
+        self._U = _lift(self.points)
 
     @property
     def n(self) -> int:
@@ -103,10 +106,18 @@ def fb(a, b):
 
 def smoothed_fb(a, b, mu: float):
     """sqrt(a^2 + b^2 + mu) - a - b, a smooth perturbation of fb."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = smooth_abs(np.hypot(a, b), mu) - a - b
+    out = _fb_parts(np.asarray(a, dtype=float), np.asarray(b, dtype=float), mu)[1]
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _fb_parts(a, b, mu):
+    """(s, phi) with s = smooth_abs(hypot(a, b), mu) and phi = s - a - b.
+
+    The larger argument is taken off first, so a badly scaled pair such as
+    (1, 1e200) keeps its small part, and phi is symmetric in a and b.
+    """
+    s = smooth_abs(np.hypot(a, b), mu)
+    return s, s - np.maximum(a, b) - np.minimum(a, b)
 
 
 def expected_instance(problem: StochasticProblem) -> EvInstance:
@@ -132,7 +143,7 @@ def _constraint_rows(inst: EvInstance, x: np.ndarray):
     Row 0 is the complementarity pair of the expected coefficients, the
     other rows are the scenario constraint rows.
     """
-    R = _residual_matrix(inst.problem, inst.points, x, 0.0)
+    R = inst._U @ _affine_rows(inst.problem, x, 0.0)
     return R + x, R - x
 
 
@@ -159,8 +170,8 @@ def ev_gradient(inst: EvInstance, x, mu: float) -> np.ndarray:
     points where both complementarity arguments vanish)."""
     x = _check_vector(x, inst.n, "x")
     G, H = _constraint_rows(inst, x)
-    s = _check_kink(smooth_abs(np.hypot(G[0], H[0]), mu))
-    phi = s - G[0] - H[0]
+    s, phi = _fb_parts(G[0], H[0], mu)
+    _check_kink(s)
     # dG and dH weight the rows of A(w_i) + I and A(w_i) - I.  Row 0 holds
     # d phi_k / dx = (G_k/s_k - 1) row_k(A_bar + I) + (H_k/s_k - 1) row_k(A_bar - I);
     # the scenario rows hold their negative parts.
@@ -168,9 +179,7 @@ def ev_gradient(inst: EvInstance, x, mu: float) -> np.ndarray:
     dH = np.minimum(0.0, H)
     dG[0] = (G[0] / s - 1.0) * phi
     dH[0] = (H[0] / s - 1.0) * phi
-    Z = dG + dH
-    S = np.vstack([Z.sum(axis=0), inst.points.T @ Z])
-    return _affine_adjoint(inst.problem, S, (dH - dG).sum(axis=0))
+    return _affine_adjoint(inst.problem, inst._U.T @ (dG + dH), (dH - dG).sum(axis=0))
 
 
 def ev_residual(inst: EvInstance, x, y) -> np.ndarray:

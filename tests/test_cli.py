@@ -235,6 +235,20 @@ class TestRunCommand:
         assert main(["run", "--problem-file", str(missing)]) == 64
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_n_with_problem_file_exits_64(self, tmp_path, capsys, command):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(EX4_1_DOC), encoding="utf-8")
+        extra = ["--x", "1,3"] if command == "verify" else []
+        assert main([command, "--problem-file", str(path), "--n", "7", *extra]) == 64
+        assert "--n" in capsys.readouterr().err
+
+    def test_huge_coordinates_keep_table_lines_short(self, capsys):
+        assert main(["run", "--example", "ex4_1", "--x0", "1e200,1e200"]) == 4
+        table = capsys.readouterr().out.split("status=")[0]
+        assert "(1.0000e+200,1.0000e+200)" in table
+        assert max(len(line) for line in table.splitlines()) < 120
+
     @pytest.mark.parametrize(
         "block,field",
         [

@@ -24,6 +24,7 @@ from savesolve import (
     smoothed_objective,
     solve,
 )
+from savesolve.core import _affine_adjoint, _affine_rows
 
 
 @pytest.fixture
@@ -127,6 +128,78 @@ class TestEvalCoefficients:
             e = np.zeros(ex2_1.m)
             e[j] = 1.0
             np.testing.assert_array_equal(eval_A(ex2_1, e) - base, ex2_1.A_terms[j])
+
+
+def random_stacks(rng, n, m):
+    """A problem on random coefficients, plus a caller copy of A_base."""
+    A_base = rng.uniform(-2.0, 2.0, (n, n))
+    problem = StochasticProblem(
+        A_base,
+        list(rng.uniform(-2.0, 2.0, (m, n, n))),
+        rng.uniform(-2.0, 2.0, n),
+        list(rng.uniform(-2.0, 2.0, (m, n))),
+    )
+    return problem, A_base
+
+
+class TestAffineStack:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(0, 3))
+    def test_coefficients_match_explicit_sum(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        problem, _ = random_stacks(rng, n, m)
+        omega = rng.uniform(-1.0, 2.0, m)
+        A, b = problem.A_base.copy(), problem.b_base.copy()
+        A_scale, b_scale = np.abs(A), np.abs(b)
+        for w, A_j, b_j in zip(omega, problem.A_terms, problem.b_terms):
+            A += w * A_j
+            b += w * b_j
+            A_scale += abs(w) * np.abs(A_j)
+            b_scale += abs(w) * np.abs(b_j)
+        assert np.all(np.abs(eval_A(problem, omega) - A) <= 1e-14 * A_scale)
+        assert np.all(np.abs(eval_b(problem, omega) - b) <= 1e-14 * b_scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(0, 3))
+    def test_adjoint_is_the_transpose_of_the_rows(self, seed, n, m):
+        # rows(x, d x) - rows(0, 0) = [A_j x] - e_0 (d x)^T is linear in x,
+        # and adjoint(S, d S_0) is its transpose applied to S
+        rng = np.random.default_rng(seed)
+        problem, _ = random_stacks(rng, n, m)
+        x, d = rng.uniform(-3.0, 3.0, n), rng.uniform(-1.0, 1.0, n)
+        S = rng.uniform(-2.0, 2.0, (m + 1, n))
+        rows = _affine_rows(problem, x, d * x) - _affine_rows(problem, np.zeros(n), 0.0)
+        lhs = float(np.vdot(S, rows))
+        rhs = float(_affine_adjoint(problem, S, d * S[0]) @ x)
+        terms = np.abs(problem._A) @ np.abs(x) + 2.0 * np.abs(problem._b)
+        terms[0] += np.abs(d * x)
+        assert abs(lhs - rhs) <= 1e-12 * float(np.vdot(np.abs(S), terms))
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_public_fields_are_views_of_the_stacks(self, m):
+        problem, _ = random_stacks(np.random.default_rng(m), 3, m)
+        fields = [problem.A_base, *problem.A_terms]
+        assert all(np.shares_memory(f, problem._A) for f in fields)
+        fields = [problem.b_base, *problem.b_terms]
+        assert all(np.shares_memory(f, problem._b) for f in fields)
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_caller_array_is_not_aliased(self, m):
+        problem, A_base = random_stacks(np.random.default_rng(m), 3, m)
+        before = problem.A_base.copy()
+        A_base[...] = 99.0
+        np.testing.assert_array_equal(problem.A_base, before)
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_results_do_not_write_through(self, m):
+        problem, _ = random_stacks(np.random.default_rng(m), 3, m)
+        A, b = problem._A.copy(), problem._b.copy()
+        omega = np.full(m, 0.5)
+        eval_A(problem, omega)[...] = 7.0
+        eval_b(problem, omega)[...] = 7.0
+        smoothed_jacobian(problem, np.ones(3), omega, 0.1)
+        np.testing.assert_array_equal(problem._A, A)
+        np.testing.assert_array_equal(problem._b, b)
 
 
 class TestProblemValidation:

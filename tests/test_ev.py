@@ -123,6 +123,19 @@ class TestFb:
         assert fb(1e200, 1.0) == -1.0
         assert np.isfinite(smoothed_fb(-1e200, 1e200, 0.01))
 
+    def test_badly_scaled_pairs_keep_the_small_argument(self):
+        # the larger argument comes off first, so the smaller one survives
+        assert fb(1.0, 1e200) == fb(1e200, 1.0) == -1.0
+        assert fb(1e-9, 1.0) == fb(1.0, 1e-9) == -1e-9
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_symmetric_bitwise(self, a, b):
+        with np.errstate(over="ignore"):  # hypot of two huge values is inf
+            ab, ba = fb(a, b), fb(b, a)
+        assert np.float64(ab).tobytes() == np.float64(ba).tobytes()
+
     def test_zero_on_nonnegative_axis(self):
         for a in (0.0, 0.5, 2.0, 100.0):
             assert fb(a, 0.0) == 0.0
