@@ -173,9 +173,8 @@ class StochasticProblem:
                 )
         elif not isinstance(self.distribution, UniformBox):
             raise ValueError("distribution must be UniformBox or FiniteScenarios")
-        # row j of each stack is the coefficient of u_j in u = [1; w], so
-        # every affine quantity is one contraction with u; the public fields
-        # are views of the rows, so each coefficient is stored once
+        # the public fields are views of the stack rows, so each coefficient
+        # is stored once, and never in the caller's array
         self._A = np.stack([A_base, *A_terms])
         self._b = np.stack([b_base, *b_terms])
         self.A_base, self.b_base = self._A[0], self._b[0]
