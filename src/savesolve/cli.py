@@ -38,7 +38,7 @@ from .problems import (
     load_case2_file,
     load_problem_file,
 )
-from .sampling import DEFAULT_COUNT, KINDS, SamplerSpec, generate
+from .sampling import KINDS, SamplerSpec, generate
 from .solver import SolveStatus, SolverConfig
 
 EXIT_OK = 0
@@ -80,44 +80,43 @@ def _parse_counts(text: str) -> list[int]:
     return counts
 
 
+# solver flag dest -> SolverConfig field; a flag's type is its field's default's
+_SOLVER_FLAGS = {
+    "mu0": "mu0", "epsilon": "epsilon", "rho": "rho_backtrack", "sigma": "sigma",
+    "delta": "delta", "gamma_bar": "gamma_bar", "max_iter": "max_iter",
+    "max_backtracks": "max_backtracks",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="save-solve", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="solve an instance and emit results")
-    src = run.add_mutually_exclusive_group(required=True)
-    src.add_argument("--example", choices=EXAMPLE_IDS, help="built-in instance")
-    src.add_argument("--problem-file", help="path to a JSON problem file")
-    run.add_argument("--n", type=int, help="dimension for ex4_4")
+    source = argparse.ArgumentParser(add_help=False)
+    group = source.add_mutually_exclusive_group(required=True)
+    group.add_argument("--example", choices=EXAMPLE_IDS, help="built-in instance")
+    group.add_argument("--problem-file", help="path to a JSON problem file")
+    source.add_argument("--n", type=int, help="dimension for ex4_4")
+
+    run = sub.add_parser("run", parents=[source], help="solve an instance and emit results")
     run.add_argument("--route", choices=ROUTES, default="erm")
-    # sampler flags default to the problem file's sampler, else halton, N=100
+    # the sampler, start and solver flags default to None: a flag left out
+    # takes the problem file's value, if any, else the default of its type
     run.add_argument("--sampler", choices=KINDS)
     run.add_argument("--N", help="sample count, or a comma list for several runs")
     run.add_argument("--seed", type=int, help="pseudorandom sampler seed")
     run.add_argument("--offset", type=int, help="halton index offset")
     run.add_argument("--x0", help="explicit start, e.g. 1.0,2.0")
-    run.add_argument("--x0-seed", type=int, default=0, help="seed for the random start")
-    run.add_argument("--x0-lo", type=float, default=0.0, help="random-start box low end")
-    run.add_argument("--x0-hi", type=float, default=2.0, help="random-start box high end")
+    run.add_argument("--x0-seed", type=int, help="seed for the random start")
+    run.add_argument("--x0-lo", type=float, help="random-start box low end")
+    run.add_argument("--x0-hi", type=float, help="random-start box high end")
     run.add_argument("--out", help="write the results table as CSV")
     run.add_argument("--trace", help="write the iterate trace as CSV (single run only)")
-    for name, kind in (
-        ("--mu0", float),
-        ("--epsilon", float),
-        ("--rho", float),
-        ("--sigma", float),
-        ("--delta", float),
-        ("--gamma-bar", float),
-        ("--max-iter", int),
-        ("--max-backtracks", int),
-    ):
-        run.add_argument(name, type=kind, default=None, help="solver override")
+    for dest, name in _SOLVER_FLAGS.items():
+        kind = type(getattr(SolverConfig, name))
+        run.add_argument("--" + dest.replace("_", "-"), type=kind, help="solver override")
 
-    verify = sub.add_parser("verify", help="check a candidate solution")
-    vsrc = verify.add_mutually_exclusive_group(required=True)
-    vsrc.add_argument("--example", choices=EXAMPLE_IDS)
-    vsrc.add_argument("--problem-file")
-    verify.add_argument("--n", type=int, help="dimension for ex4_4")
+    verify = sub.add_parser("verify", parents=[source], help="check a candidate solution")
     verify.add_argument("--x", required=True, help="candidate solution, e.g. 1,3")
     verify.add_argument(
         "--omega", help="evaluation point(s) of w; defaults to 0 or all scenarios"
@@ -148,41 +147,30 @@ def _override(base, **flags):
     return dataclasses.replace(base, **given)
 
 
-def _merge_config(file_cfg: SolverConfig | None, args) -> SolverConfig:
-    return _override(
-        file_cfg or SolverConfig(),
-        mu0=args.mu0,
-        epsilon=args.epsilon,
-        rho_backtrack=args.rho,
-        sigma=args.sigma,
-        delta=args.delta,
-        gamma_bar=args.gamma_bar,
-        max_iter=args.max_iter,
-        max_backtracks=args.max_backtracks,
-    )
-
-
 def _cmd_run(args) -> int:
+    sampler_flags = ("sampler", "N", "seed", "offset")
+    given = [f"--{f}" for f in sampler_flags if getattr(args, f) is not None]
+    if args.route == "ev" and given:
+        raise ValueError(f"{', '.join(given)}: the ev route draws no samples")
     problem, file_cfg, file_sampler = _load_problem(args)
-    cfg = _merge_config(file_cfg, args)
-    sampler = _override(
-        file_sampler or SamplerSpec("halton", count=DEFAULT_COUNT, dim=problem.m),
-        kind=args.sampler,
-        seed=args.seed,
-        offset=args.offset,
-    )
+    solver_flags = {name: getattr(args, dest) for dest, name in _SOLVER_FLAGS.items()}
+    cfg = _override(file_cfg or SolverConfig(), **solver_flags)
+    sampler = _override(file_sampler or SamplerSpec(dim=problem.m),
+                        kind=args.sampler, seed=args.seed, offset=args.offset)
+    if args.N is not None and sampler.kind == "scenarios":
+        raise ValueError("--N: the scenarios sampler emits every scenario once")
     counts = _parse_counts(args.N) if args.N is not None else [sampler.count]
-    if args.trace and len(counts) > 1 and args.route == "erm":
+    if args.trace and len(counts) > 1:
         raise ValueError("--trace expects a single --N value")
     if args.x0 is not None:
         policy = GivenStart(tuple(_parse_floats(args.x0)))
     else:
-        policy = UniformRandomStart(args.x0_lo, args.x0_hi, args.x0_seed)
+        policy = _override(
+            UniformRandomStart(), lo=args.x0_lo, hi=args.x0_hi, seed=args.x0_seed
+        )
     example_id = args.example or args.problem_file
     records = []
     last_report = None
-    if args.route == "ev":
-        counts = counts[:1]  # the ev route does not sample
     for count in counts:
         record, report = run_experiment(
             problem,

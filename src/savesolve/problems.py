@@ -14,9 +14,10 @@ Problem files are UTF-8 JSON documents:
 A finite distribution uses kind "finite_scenarios" with
 "scenarios": [{"omega": [...], "p": ...}, ...].  Numbers must be finite; the
 sampler's count, seed and offset and the solver's max_iter and max_backtracks
-are integers.  This module only parses (structure, known fields, the declared
-n and m, exact vector shapes, numeric arrays); every other rule lives in the
-type a block builds, whose ValueError or TypeError is re-raised as a
+are integers; a field left out of either block takes its type's default.
+This module only parses (structure, known fields, the declared n and m,
+exact vector shapes, numeric arrays); every other rule lives in the type a
+block builds, whose ValueError or TypeError is re-raised as a
 ProblemFormatError naming the field, so a malformed file exits with status 64.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 
 from .analytic import ClosedFormInstance
 from .core import FiniteScenarios, StochasticProblem, UniformBox, _check_int
-from .sampling import DEFAULT_COUNT, SamplerSpec
+from .sampling import SamplerSpec
 from .solver import SolverConfig
 
 __all__ = [
@@ -65,6 +66,14 @@ _EX4_3_BASE = [
 ]
 
 
+def _shifted(A0, b0, b1=None, distribution=UniformBox()) -> StochasticProblem:
+    """The one-parameter family A(w) = A0 + w I, b(w) = b0 + w b1, with b1
+    all ones unless given; every built-in instance has this form."""
+    n = len(b0)
+    b1 = np.ones(n) if b1 is None else b1
+    return StochasticProblem(A0, [np.eye(n)], b0, [b1], distribution)
+
+
 def builtin_example(example_id: str, n: int | None = None) -> StochasticProblem:
     """Construct one of the built-in benchmark instances.
 
@@ -85,51 +94,28 @@ def builtin_example(example_id: str, n: int | None = None) -> StochasticProblem:
         A0 = np.array(
             [[10, 1, 2, 0], [1, 11, 3, 1], [0, 2, 12, 1], [1, 7, 0, 13]], dtype=float
         )
-        return StochasticProblem(
-            A_base=A0,
-            A_terms=[np.eye(4)],
-            b_base=np.array([12.0, 15.0, 14.0, 20.0]),
-            b_terms=[np.ones(4)],
-            distribution=FiniteScenarios([[0.0], [2.0]], [0.5, 0.5]),
-        )
+        scenarios = FiniteScenarios([[0.0], [2.0]], [0.5, 0.5])
+        return _shifted(A0, np.array([12.0, 15.0, 14.0, 20.0]), distribution=scenarios)
     if example_id == "ex4_1":
-        return StochasticProblem(
-            A_base=np.array([[2.0, 1.0], [5.0, 1.0]]),
-            A_terms=[np.eye(2)],
-            b_base=np.array([4.0, 5.0]),
-            b_terms=[np.array([1.0, 3.0])],
-        )
+        A0 = np.array([[2.0, 1.0], [5.0, 1.0]])
+        return _shifted(A0, np.array([4.0, 5.0]), np.array([1.0, 3.0]))
     if example_id == "ex4_2":
         A0 = np.array(
             [[2, 1, 0, 0], [2, 1, 0, 0], [0, 0, 2, 1], [0, 2, 0, 1]], dtype=float
         )
-        return StochasticProblem(
-            A_base=A0,
-            A_terms=[np.eye(4)],
-            b_base=np.full(4, 2.0),
-            b_terms=[np.ones(4)],
-        )
+        return _shifted(A0, np.full(4, 2.0))
     if example_id == "ex4_3":
-        return StochasticProblem(
-            A_base=np.array(_EX4_3_BASE, dtype=float),
-            A_terms=[np.eye(10)],
-            b_base=np.full(10, 10.0),
-            b_terms=[np.ones(10)],
-        )
+        return _shifted(np.array(_EX4_3_BASE, dtype=float), np.full(10, 10.0))
     if example_id == "ex4_4":
         if n is None:
             raise ValueError("ex4_4 requires the dimension n")
         if n < 2:
             raise ValueError(f"ex4_4 needs n >= 2, got {n}")
-        A0 = 2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+        off = np.ones(n - 1)
+        A0 = np.diag(np.full(n, 2.0)) + np.diag(off, 1) + np.diag(off, -1)
         b0 = np.full(n, 3.0)
         b0[0] = b0[-1] = 2.0
-        return StochasticProblem(
-            A_base=A0,
-            A_terms=[np.eye(n)],
-            b_base=b0,
-            b_terms=[np.ones(n)],
-        )
+        return _shifted(A0, b0)
     raise ValueError(f"unknown example {example_id!r}; valid ids: {EXAMPLE_IDS}")
 
 
@@ -249,16 +235,12 @@ def problem_to_dict(problem: StochasticProblem) -> dict:
     }
 
 
-def _solver_from_dict(raw) -> SolverConfig:
-    raw = _object(raw, "solver")
-    return _built("solver", lambda: SolverConfig(**raw))
-
-
-def _sampler_from_dict(raw, m: int) -> SamplerSpec:
-    raw = _object(raw, "sampler")
-    return _built(
-        "sampler", lambda: SamplerSpec(dim=m, **{"count": DEFAULT_COUNT, **raw})
-    )
+def _block(data: dict, key: str, make):
+    """The optional block data[key] built as make(**block), None when absent."""
+    if key not in data:
+        return None
+    raw = _object(data[key], key)
+    return _built(key, lambda: make(**raw))
 
 
 def _read_json(path):
@@ -274,8 +256,8 @@ def load_problem_file(path):
     sampler spec or None)."""
     data = _read_json(path)
     problem = problem_from_dict(data)
-    cfg = _solver_from_dict(data["solver"]) if "solver" in data else None
-    spec = _sampler_from_dict(data["sampler"], problem.m) if "sampler" in data else None
+    cfg = _block(data, "solver", SolverConfig)
+    spec = _block(data, "sampler", lambda **raw: SamplerSpec(dim=problem.m, **raw))
     return problem, cfg, spec
 
 

@@ -21,7 +21,6 @@ from .core import FiniteScenarios, SampleSet, StochasticProblem, UniformBox, _ch
 __all__ = ["SamplerSpec", "generate", "halton_points", "radical_inverse"]
 
 KINDS = ("pseudorandom", "halton", "scenarios")
-DEFAULT_COUNT = 100  # sample count when neither a flag nor a file gives one
 
 
 @dataclass(frozen=True)
@@ -30,10 +29,12 @@ class SamplerSpec:
 
     seed applies to pseudorandom draws, offset shifts the Halton index origin.
     For the scenarios kind the count is ignored; every scenario is emitted.
+    The field defaults are the run defaults: the command line and a problem
+    file's sampler block only overlay the fields they set.
     """
 
-    kind: str
-    count: int = 1
+    kind: str = "halton"
+    count: int = 100
     dim: int = 1
     seed: int = 0
     offset: int = 0

@@ -111,7 +111,6 @@ class Iterate:
 class SolveReport:
     x_final: np.ndarray
     f_final: float
-    f_smoothed_final: float
     grad_norm_final: float
     mu_final: float
     iterations: int
@@ -213,7 +212,6 @@ def minimize_smoothed(
     return SolveReport(
         x_final=x,
         f_final=trace[-1].objective_raw,
-        f_smoothed_final=f_cur,
         grad_norm_final=gn,
         mu_final=mu,
         iterations=k,
@@ -233,8 +231,7 @@ def solve(
     Stops when the smoothed gradient norm reaches cfg.epsilon (converged),
     the iteration cap is hit, the line search fails, or the objective or
     gradient stops being finite; the full iterate trace is recorded either
-    way.  f_final is the unsmoothed objective at the final point,
-    f_smoothed_final the smoothed value at the final mu.
+    way.  f_final is the unsmoothed objective at the final point.
     """
     return minimize_smoothed(
         lambda z, mu: smoothed_objective(problem, samples, z, mu),

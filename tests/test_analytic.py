@@ -50,6 +50,12 @@ class TestClosedFormInstance:
         r = 2.0 * 2.0 - 2.0 - 0.5
         assert exact_objective(inst, x) == pytest.approx(r * r, abs=1e-9)
 
+    def test_one_dimensional_T_is_one_column(self):
+        flat = ClosedFormInstance([[2.0]], [1.0], [0.5])
+        assert flat.T.shape == (1, 1)
+        column = ClosedFormInstance([[2.0]], [1.0], [[0.5]])
+        assert exact_objective(flat, [1.5]) == exact_objective(column, [1.5])
+
     def test_row_structure_validated(self):
         with pytest.raises(ValueError, match="row"):
             ClosedFormInstance(np.eye(2), [0.0, 0.0], [[1.0, 1.0], [0.0, 1.0]])

@@ -1,11 +1,16 @@
+import argparse
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from savesolve.cli import main
+from savesolve.cli import build_parser, main
+from savesolve.problems import builtin_example, problem_to_dict
 
 EX4_1_DOC = {
     "n": 2,
@@ -161,6 +166,59 @@ class TestRunCommand:
         assert from_file.read_text(encoding="utf-8").splitlines()[1].startswith("100,")
         assert from_file.read_bytes() == from_flags.read_bytes()
 
+    def test_problem_file_sampler_without_kind(self, tmp_path, capsys):
+        # a sampler block may leave out kind, with or without --sampler
+        doc = dict(EX4_1_DOC, sampler={"count": 50})
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        x0 = ["--x0", "0.9415,1.7138"]
+        tables = []
+        for argv in (
+            ["--problem-file", str(path)],
+            ["--problem-file", str(path), "--sampler", "halton"],
+            ["--example", "ex4_1", "--sampler", "halton", "--N", "50"],
+        ):
+            out = tmp_path / f"table{len(tables)}.csv"
+            assert main(["run", *argv, "--out", str(out)] + x0) == 0
+            tables.append(out.read_bytes())
+        capsys.readouterr()
+        assert tables[0].splitlines()[1].startswith(b"50,")
+        assert tables[0] == tables[1] == tables[2]
+
+    @pytest.mark.parametrize(
+        "extra,named",
+        [
+            (["--N", "10,50,100", "--sampler", "pseudorandom", "--seed", "3"],
+             "--sampler, --N, --seed"),
+            (["--N", "10,50", "--trace", "t.csv"], "--N"),
+            (["--offset", "0"], "--offset"),
+        ],
+    )
+    def test_ev_route_refuses_sampling_flags(
+        self, tmp_path, monkeypatch, capsys, extra, named
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "--example", "ex2_1", "--route", "ev", *extra])
+        assert code == 64
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_counts_refused_with_the_scenarios_sampler(self, tmp_path, capsys):
+        code = main(["run", "--example", "ex2_1", "--sampler", "scenarios", "--N", "10,50"])
+        assert code == 64
+        assert "--N" in capsys.readouterr().err
+        # a file sampler of that kind without --N runs once, on every scenario
+        doc = dict(problem_to_dict(builtin_example("ex2_1")), sampler={"kind": "scenarios"})
+        path = tmp_path / "ex2_1.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "table.csv"
+        x0 = ["--x0", "2.5127,-2.4490,0.0596,1.9908"]
+        assert main(["run", "--problem-file", str(path), "--out", str(out)] + x0) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 2 and rows[1].startswith("2,")
+        assert main(["run", "--problem-file", str(path), "--N", "5"] + x0) == 64
+        assert "--N" in capsys.readouterr().err
+
     def test_ev_route(self, capsys):
         code = main(
             [
@@ -234,6 +292,14 @@ class TestRunCommand:
         missing = tmp_path / "missing.json"
         assert main(["run", "--problem-file", str(missing)]) == 64
         capsys.readouterr()
+        for extra, message in [
+            (["--x0-lo", "2", "--x0-hi", "1"], "hi > lo"),
+            (["--N", ","], "at least one sample count"),
+            (["--N", "abc"], "comma-separated integers"),
+            (["--sampler", "pseudorandom", "--seed", str(2**64)], "64-bit"),
+        ]:
+            assert main(["run", "--example", "ex4_1", *extra]) == 64
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_n_with_problem_file_exits_64(self, tmp_path, capsys, command):
@@ -268,6 +334,24 @@ class TestRunCommand:
             ({"A_base": [[float("inf"), 1.0], [5.0, 1.0]]}, "A_base"),
             ({"solver": {"mu0": True}}, "mu0"),
             ({"solver": {"mu0": "0.1"}}, "mu0"),
+            ({"solver": [0.1]}, "solver: expected a JSON object"),
+            ({"b_base": ["four", 5.0]}, "b_base: not a numeric array"),
+            ({"b_terms": []}, "b_terms: expected a list of 1 vectors"),
+            ({"distribution": {}}, "distribution: expected an object with a kind"),
+            (
+                {"distribution": {"kind": "finite_scenarios", "scenarios": []}},
+                "distribution.scenarios: expected a non-empty list",
+            ),
+            (
+                {"distribution": {"kind": "finite_scenarios",
+                                  "scenarios": [{"omega": [0.0]}]}},
+                "scenarios[0]: expected omega and p",
+            ),
+            (
+                {"distribution": {"kind": "finite_scenarios",
+                                  "scenarios": [{"omega": [0.0], "p": [0.5, 0.5]}]}},
+                "1 points but 2 scenario probabilities",
+            ),
         ],
     )
     def test_malformed_problem_file_exits_64(self, tmp_path, capsys, block, field):
@@ -387,3 +471,27 @@ class TestDeterminism:
             )
             outputs.append((proc.returncode, out.read_bytes(), trace.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+def readme_command_line() -> str:
+    """The "Command line" section of the README, up to the next heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+class TestReadmeCommandLine:
+    def test_every_example_command_parses(self):
+        block = readme_command_line().split("```")[1].replace("\\\n", " ")
+        commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+        assert len(commands) >= 5
+        for argv in commands:
+            assert argv[0] == "save-solve"
+            build_parser().parse_args(argv[1:])
+
+    def test_every_named_flag_is_an_option(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {o for p in sub.choices.values() for o in p._option_string_actions}
+        named = set(re.findall(r"--[A-Za-z][\w-]*", readme_command_line()))
+        assert len(named) >= 20
+        assert named <= options, sorted(named - options)

@@ -208,6 +208,20 @@ class TestProblemValidation:
             StochasticProblem(np.eye(2), [np.eye(3)], np.zeros(2), [np.zeros(2)])
         with pytest.raises(ValueError, match="b_base"):
             StochasticProblem(np.eye(2), [], np.zeros(3), [])
+        with pytest.raises(ValueError, match="A_base must be square"):
+            StochasticProblem(np.ones((2, 3)), [], np.zeros(2), [])
+
+    def test_distribution_validated(self):
+        args = (np.eye(2), [np.eye(2)], np.zeros(2), [np.ones(2)])
+        with pytest.raises(ValueError, match="dimension 2, expected 1"):
+            StochasticProblem(*args, FiniteScenarios([[0.0, 1.0]], [1.0]))
+        with pytest.raises(ValueError, match="UniformBox or FiniteScenarios"):
+            StochasticProblem(*args, "uniform_box")
+
+    def test_one_dimensional_scenarios_are_points_on_the_line(self):
+        dist = FiniteScenarios([0.0, 2.0], [0.5, 0.5])
+        assert dist.omegas.shape == (2, 1)
+        np.testing.assert_array_equal(dist.omegas, [[0.0], [2.0]])
 
     def test_term_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="b_terms"):

@@ -212,3 +212,7 @@ class TestCase2Documents:
             case2_from_dict({"A": [[1.0]], "b_tilde": [1.0], "T": [[-1.0]]})
         with pytest.raises(ProblemFormatError, match="unknown"):
             case2_from_dict({"A": [[1.0]], "b_tilde": [1.0], "T": [[1.0]], "c": 1})
+        with pytest.raises(ProblemFormatError, match="A must be square"):
+            case2_from_dict({"A": [[1.0, 2.0]], "b_tilde": [1.0], "T": [[1.0]]})
+        with pytest.raises(ProblemFormatError, match="T must have 1 rows"):
+            case2_from_dict({"A": [[1.0]], "b_tilde": [1.0], "T": [[1.0], [1.0]]})
