@@ -58,6 +58,7 @@ from .sampling import SamplerSpec, generate, halton_points, radical_inverse
 from .solver import (
     Iterate,
     LineSearchError,
+    SmoothedModel,
     SolveReport,
     SolveStatus,
     SolverConfig,

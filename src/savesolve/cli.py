@@ -163,6 +163,10 @@ def _cmd_run(args) -> int:
     if args.trace and len(counts) > 1:
         raise ValueError("--trace expects a single --N value")
     if args.x0 is not None:
+        drawn = [f"--{f}" for f in ("x0-seed", "x0-lo", "x0-hi")
+                 if getattr(args, f.replace("-", "_")) is not None]
+        if drawn:
+            raise ValueError(f"{', '.join(drawn)}: --x0 gives the start, so none is drawn")
         policy = GivenStart(tuple(_parse_floats(args.x0)))
     else:
         policy = _override(

@@ -313,6 +313,22 @@ def _mean_square(samples, R):
     return float(np.vdot(FR, FR))
 
 
+def _erm_ray(problem, samples, x, d):
+    """(alpha, mu) -> smoothed_objective at x + alpha d, with no n x n product
+    per call: the affine rows are linear in x, so F R there is
+    F L + alpha F (_A d) less the psi column, with L = _A x - _b formed
+    fresh at x."""
+    F = samples._factor
+    FL = F @ _affine_rows(problem, x, 0.0)
+    FD = F @ (problem._A @ d)
+
+    def value(alpha, mu):
+        P = FL + alpha * FD - F[:, :1] * smooth_abs(x + alpha * d, mu)
+        return float(np.vdot(P, P))
+
+    return value
+
+
 def erm_objective(problem: StochasticProblem, samples: SampleSet, x) -> float:
     """Weighted sample average of ||A(w_i) x - |x| - b(w_i)||^2.
 

@@ -44,7 +44,7 @@ from .core import (
     residual,
     smooth_abs,
 )
-from .solver import SolveReport, SolverConfig, minimize_smoothed
+from .solver import SmoothedModel, SolveReport, SolverConfig, minimize_smoothed
 
 __all__ = [
     "EvInstance",
@@ -157,12 +157,31 @@ def ev_objective(inst: EvInstance, x, mu: float) -> float:
     the squared constrained-system residual.
     """
     x = _check_vector(x, inst.n, "x")
-    G, H = _constraint_rows(inst, x)
+    return _reduced_value(*_constraint_rows(inst, x), mu)
+
+
+def _reduced_value(G, H, mu):
+    """ev_objective over the constraint rows G, H of _constraint_rows."""
     phi = smoothed_fb(G[0], H[0], mu)
     slack_G = np.minimum(0.0, G[1:])
     slack_H = np.minimum(0.0, H[1:])
     return 0.5 * (float(phi @ phi) + float(np.vdot(slack_G, slack_G))
                   + float(np.vdot(slack_H, slack_H)))
+
+
+def _ev_ray(inst: EvInstance, x, d):
+    """(alpha, mu) -> ev_objective at x + alpha d, with no n x n product per
+    call: the constraint rows there are C + alpha Q +- (x + alpha d), with
+    C = U L(x) formed fresh at x and Q = U (_A d)."""
+    C = inst._U @ _affine_rows(inst.problem, x, 0.0)
+    Q = inst._U @ (inst.problem._A @ d)
+
+    def value(alpha, mu):
+        z = x + alpha * d
+        R = C + alpha * Q
+        return _reduced_value(R + z, R - z, mu)
+
+    return value
 
 
 def ev_gradient(inst: EvInstance, x, mu: float) -> np.ndarray:
@@ -202,15 +221,16 @@ def ev_solve(inst: EvInstance, x0, cfg: SolverConfig | None = None) -> SolveRepo
     """Minimize ev_objective with the smoothing gradient machinery.
 
     The reported f_final is half the squared constrained-system residual
-    reconstructed with the optimal slacks y = max(0, constraint rows), which
-    is exactly ev_objective at mu = 0.
+    reconstructed with the optimal slacks y = max(0, constraint rows): that
+    is ev_objective at mu = 0, after a step taken on that step's ray.
     """
-    return minimize_smoothed(
+    model = SmoothedModel(
         lambda z, mu: ev_objective(inst, z, mu),
         lambda z, mu: ev_gradient(inst, z, mu),
-        x0,
-        cfg,
+        lambda z: ev_objective(inst, z, 0.0),
+        lambda z, d: _ev_ray(inst, z, d),
     )
+    return minimize_smoothed(model, x0, cfg)
 
 
 def _check_tol(tol) -> float:

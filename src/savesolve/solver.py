@@ -8,7 +8,10 @@ objective.  One outer iteration:
   2. take the steepest-descent direction d_k = -grad f(x_k, mu_k);
   3. accept the largest step alpha = rho^j, j = 0, 1, ..., with
          f(x_k + alpha d_k, mu_k) - f(x_k, mu_k)
-             <= delta * alpha * grad f(x_k, mu_k)^T d_k;
+             <= delta * alpha * grad f(x_k, mu_k)^T d_k,
+     each trial evaluated along the ray alpha -> x_k + alpha d_k, whose
+     shared affine rows the model forms once (no n x n product per trial);
+     the new iterate's unsmoothed value is the same ray at mu = 0;
   4. shrink mu_{k+1} = sigma * mu_k when ||grad f(x_{k+1}, mu_k)|| falls
      below gamma_bar * mu_k, otherwise keep mu_{k+1} = mu_k.
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +36,7 @@ from .core import (
     SampleSet,
     StochasticProblem,
     _check_int,
+    _erm_ray,
     erm_objective,
     smoothed_gradient,
     smoothed_objective,
@@ -44,6 +48,7 @@ __all__ = [
     "Iterate",
     "SolveReport",
     "LineSearchError",
+    "SmoothedModel",
     "armijo_backtrack",
     "minimize_smoothed",
     "solve",
@@ -122,8 +127,22 @@ class LineSearchError(RuntimeError):
     """No backtracking step satisfied the sufficient-decrease condition."""
 
 
+class SmoothedModel(NamedTuple):
+    """An objective family f(x, mu) as minimize_smoothed sees it.
+
+    value(x, mu) is f, gradient(x, mu) its gradient in x and raw(x) the
+    unsmoothed f(x, 0).  ray(x, d) returns (alpha, mu) -> f(x + alpha d, mu),
+    which may fix once whatever the trials along that ray share.
+    """
+
+    value: Callable[[np.ndarray, float], float]
+    gradient: Callable[[np.ndarray, float], np.ndarray]
+    raw: Callable[[np.ndarray], float]
+    ray: Callable[[np.ndarray, np.ndarray], Callable[[float, float], float]]
+
+
 def armijo_backtrack(
-    f: Callable[[np.ndarray], float],
+    phi: Callable[[float], float],
     x: np.ndarray,
     d: np.ndarray,
     f0: float,
@@ -132,7 +151,8 @@ def armijo_backtrack(
 ) -> tuple[float, np.ndarray, float]:
     """Largest alpha = rho^j, j <= max_backtracks, with sufficient decrease.
 
-    slope is grad^T d at x and must be negative (d a descent direction).
+    phi(alpha) is f(x + alpha d); slope is grad^T d at x and must be negative
+    (d a descent direction).
     Returns (alpha, accepted point, objective there); raises LineSearchError
     when every trial fails.
     """
@@ -140,10 +160,9 @@ def armijo_backtrack(
         raise ValueError(f"d is not a descent direction (grad^T d = {slope!r})")
     for j in range(cfg.max_backtracks + 1):
         alpha = cfg.rho_backtrack**j
-        x_new = x + alpha * d
-        f_new = f(x_new)
+        f_new = phi(alpha)
         if f_new - f0 <= cfg.delta * alpha * slope:
-            return alpha, x_new, f_new
+            return alpha, x + alpha * d, f_new
     raise LineSearchError(
         f"no sufficient decrease within {cfg.max_backtracks} backtracks"
     )
@@ -152,31 +171,27 @@ def armijo_backtrack(
 # the non_finite status reports what numpy's overflow warnings would
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def minimize_smoothed(
-    objective: Callable[[np.ndarray, float], float],
-    gradient: Callable[[np.ndarray, float], np.ndarray],
+    model: SmoothedModel,
     x0,
     cfg: SolverConfig | None = None,
-    raw_objective: Callable[[np.ndarray], float] | None = None,
 ) -> SolveReport:
-    """Run the smoothing gradient method on an objective family f(x, mu).
+    """Run the smoothing gradient method on a model's family f(x, mu).
 
-    raw_objective(x), defaulting to objective(x, 0), is the unsmoothed value
-    reported alongside the smoothed one in the trace and the final report.
-    A non-finite x0 is a ValueError.
+    The unsmoothed value, reported alongside the smoothed one in the trace
+    and the final report, is model.raw at the start and the accepted step's
+    ray at mu = 0 after it.  A non-finite x0 is a ValueError.
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x0, dtype=float).ravel().copy()
     if not np.all(np.isfinite(x)):
         raise ValueError("starting point must be finite")
-    if raw_objective is None:
-        raw_objective = lambda z: objective(z, 0.0)
 
     mu = cfg.mu0
-    f_cur = objective(x, mu)
-    g = gradient(x, mu)
+    f_cur = model.value(x, mu)
+    g = model.gradient(x, mu)
     gn = float(np.linalg.norm(g))
 
-    trace = [Iterate(0, x, f_cur, raw_objective(x), gn, mu, 0.0)]
+    trace = [Iterate(0, x, f_cur, model.raw(x), gn, mu, 0.0)]
     k = 0
     while True:
         if not (np.isfinite(f_cur) and np.isfinite(gn)):
@@ -189,14 +204,15 @@ def minimize_smoothed(
             status = SolveStatus.ITERATION_CAP
             break
         d = -g
+        ray = model.ray(x, d)
         try:
             alpha, x_new, f_new = armijo_backtrack(
-                lambda z: objective(z, mu), x, d, f_cur, float(g @ d), cfg
+                lambda a: ray(a, mu), x, d, f_cur, float(g @ d), cfg
             )
         except LineSearchError:
             status = SolveStatus.LINE_SEARCH_FAILURE
             break
-        g_new = gradient(x_new, mu)
+        g_new = model.gradient(x_new, mu)
         gn_new = float(np.linalg.norm(g_new))
         x = x_new
         k += 1
@@ -204,10 +220,10 @@ def minimize_smoothed(
             f_cur, g, gn = f_new, g_new, gn_new
         else:
             mu = cfg.sigma * mu
-            f_cur = objective(x, mu)
-            g = gradient(x, mu)
+            f_cur = model.value(x, mu)
+            g = model.gradient(x, mu)
             gn = float(np.linalg.norm(g))
-        trace.append(Iterate(k, x, f_cur, raw_objective(x), gn, mu, alpha))
+        trace.append(Iterate(k, x, f_cur, ray(alpha, 0.0), gn, mu, alpha))
 
     return SolveReport(
         x_final=x,
@@ -233,10 +249,10 @@ def solve(
     gradient stops being finite; the full iterate trace is recorded either
     way.  f_final is the unsmoothed objective at the final point.
     """
-    return minimize_smoothed(
+    model = SmoothedModel(
         lambda z, mu: smoothed_objective(problem, samples, z, mu),
         lambda z, mu: smoothed_gradient(problem, samples, z, mu),
-        x0,
-        cfg,
-        raw_objective=lambda z: erm_objective(problem, samples, z),
+        lambda z: erm_objective(problem, samples, z),
+        lambda z, d: _erm_ray(problem, samples, z, d),
     )
+    return minimize_smoothed(model, x0, cfg)

@@ -203,6 +203,15 @@ class TestRunCommand:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
 
+    def test_given_start_refuses_random_start_flags(self, capsys):
+        given = ["run", "--example", "ex4_1", "--x0", "1,2"]
+        extra = ["--x0-seed", "5", "--x0-lo", "3", "--x0-hi", "1", "--N", "10"]
+        assert main(given + extra) == 64
+        assert "--x0-seed, --x0-lo, --x0-hi" in capsys.readouterr().err
+        assert main(given + ["--x0-seed", "5"]) == 64
+        assert "--x0-seed" in capsys.readouterr().err
+        assert main(given) == 0
+
     def test_counts_refused_with_the_scenarios_sampler(self, tmp_path, capsys):
         code = main(["run", "--example", "ex2_1", "--sampler", "scenarios", "--N", "10,50"])
         assert code == 64

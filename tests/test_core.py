@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from savesolve import (
@@ -24,7 +24,7 @@ from savesolve import (
     smoothed_objective,
     solve,
 )
-from savesolve.core import _affine_adjoint, _affine_rows
+from savesolve.core import _affine_adjoint, _affine_rows, _erm_ray
 
 
 @pytest.fixture
@@ -464,6 +464,37 @@ class TestSmoothedGradient:
         )
         err = np.linalg.norm(analytic - numeric)
         assert err <= 1e-5 * np.linalg.norm(numeric) + 1e-8
+
+
+# a line-search ray: the trial step rho^j, the direction's magnitude, and
+# whether the trial is the unsmoothed (mu = 0) value
+ray_steps = dict(
+    j=st.integers(0, 60),
+    d_exp=st.floats(-6.0, 3.0),
+    raw=st.booleans(),
+)
+
+
+class TestErmRay:
+    """The line search's ray against the objective at x + alpha d and
+    against explicit per-sample summation, m = 0 included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**sampled_shapes, **ray_steps)
+    @example(seed=1, n=3, m=0, N=2, near=False, j=60, d_exp=3.0, raw=True)
+    def test_matches_objective_and_direct_summation(
+        self, seed, n, m, N, near, j, d_exp, raw
+    ):
+        rng = np.random.default_rng(seed)
+        problem, samples, x = random_sampled_problem(rng, n, m, N, near)
+        d = 10.0**d_exp * rng.uniform(-1.0, 1.0, n)
+        alpha = 0.5**j
+        mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
+        got = _erm_ray(problem, samples, x, d)(alpha, mu)
+        z = x + alpha * d
+        value, value_scale, _, _ = direct_erm(problem, samples, z, mu)
+        assert abs(got - value) <= 1e-12 * value_scale
+        assert abs(got - smoothed_objective(problem, samples, z, mu)) <= 1e-12 * value_scale
 
 
 class TestSampleMoments:

@@ -25,6 +25,7 @@ from savesolve import (
     verify_glcp,
     verify_save,
 )
+from savesolve.ev import _ev_ray
 
 EX2_1_STARTS = [
     (2.5127, -2.4490, 0.0596, 1.9908),
@@ -309,6 +310,27 @@ class TestAffineRows:
         numeric = fd_gradient(lambda z: ev_objective(inst, z, mu), x)
         err = np.linalg.norm(analytic - numeric)
         assert err <= 1e-5 * np.linalg.norm(numeric) + 1e-8
+
+
+class TestEvRay:
+    """The line search's ray against ev_objective at x + alpha d and against
+    explicit per-scenario summation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(**instance_shapes, j=st.integers(0, 60), d_exp=st.floats(-6.0, 3.0),
+           raw=st.booleans())
+    def test_matches_objective_and_direct_summation(self, seed, n, m, k, j, d_exp, raw):
+        rng = np.random.default_rng(seed)
+        inst = expected_instance(random_finite_problem(rng, n, m, k))
+        x = rng.uniform(-3, 3, size=n)
+        d = 10.0**d_exp * rng.uniform(-1.0, 1.0, n)
+        alpha = 0.5**j
+        mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
+        got = _ev_ray(inst, x, d)(alpha, mu)
+        z = x + alpha * d
+        value, value_scale, _, _ = direct_ev(inst.problem, z, mu)
+        assert abs(got - value) <= 1e-12 * value_scale
+        assert abs(got - ev_objective(inst, z, mu)) <= 1e-12 * value_scale
 
 
 class TestSlackElimination:

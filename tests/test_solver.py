@@ -7,6 +7,7 @@ from savesolve import (
     LineSearchError,
     SampleSet,
     SamplerSpec,
+    SmoothedModel,
     SolveStatus,
     SolverConfig,
     StochasticProblem,
@@ -73,7 +74,9 @@ class TestArmijo:
         f = lambda z: smoothed_objective(problem, samples, z, 0.0)
         x, d = np.array([1.0]), np.array([-2.0])
         slope = float(smoothed_gradient(problem, samples, x, 0.0) @ d)
-        alpha, x_new, _ = armijo_backtrack(f, x, d, f(x), slope, SolverConfig())
+        alpha, x_new, _ = armijo_backtrack(
+            lambda a: f(x + a * d), x, d, f(x), slope, SolverConfig()
+        )
         assert alpha == 0.5
         np.testing.assert_array_equal(x_new, [0.0])
 
@@ -82,7 +85,9 @@ class TestArmijo:
         f = lambda z: smoothed_objective(problem, samples, z, 0.0)
         x, d = np.array([1.0]), np.array([-0.5])
         slope = float(smoothed_gradient(problem, samples, x, 0.0) @ d)
-        alpha, x_new, _ = armijo_backtrack(f, x, d, f(x), slope, SolverConfig())
+        alpha, x_new, _ = armijo_backtrack(
+            lambda a: f(x + a * d), x, d, f(x), slope, SolverConfig()
+        )
         assert alpha == 1.0
         np.testing.assert_array_equal(x_new, [0.5])
 
@@ -96,7 +101,9 @@ class TestArmijo:
             mu = 0.01
             g = smoothed_gradient(problem, samples, x, mu)
             f = lambda z: smoothed_objective(problem, samples, z, mu)
-            alpha, x_new, _ = armijo_backtrack(f, x, -g, f(x), float(g @ -g), cfg)
+            alpha, x_new, _ = armijo_backtrack(
+                lambda a: f(x - a * g), x, -g, f(x), float(g @ -g), cfg
+            )
             assert smoothed_objective(problem, samples, x_new, mu) < (
                 smoothed_objective(problem, samples, x, mu)
             )
@@ -113,11 +120,13 @@ class TestArmijo:
 
     def test_exhausted_backtracks_raise(self):
         # a fake negative slope at a minimizer: no step can decrease f
+        f = lambda z: float(z @ z)
+        x, d = np.zeros(1), np.ones(1)
         with pytest.raises(LineSearchError):
             armijo_backtrack(
-                lambda z: float(z @ z),
-                np.zeros(1),
-                np.ones(1),
+                lambda a: f(x + a * d),
+                x,
+                d,
                 0.0,
                 -1.0,
                 SolverConfig(max_backtracks=10),
@@ -181,6 +190,17 @@ class TestSolve:
             else:
                 assert cur.mu == cfg.sigma * prev.mu
 
+    def test_accepted_point_is_x_plus_alpha_d(self):
+        # the ray only evaluates trials: each iterate is bitwise the previous
+        # one plus the accepted step along the negative gradient there
+        problem = builtin_example("ex4_2")
+        samples = generate(SamplerSpec("halton", count=25, dim=1), problem)
+        report = solve(problem, samples, [1.3, 0.4, 1.9, 0.2], SolverConfig())
+        assert report.iterations > 10
+        for prev, cur in zip(report.trace, report.trace[1:]):
+            d = -smoothed_gradient(problem, samples, prev.x, prev.mu)
+            assert cur.x.tobytes() == (prev.x + cur.step * d).tobytes()
+
     def test_stationarity_at_convergence(self):
         problem = builtin_example("ex4_2")
         samples = generate(SamplerSpec("halton", count=25, dim=1), problem)
@@ -222,9 +242,14 @@ class TestSolve:
     def test_gradient_turning_nan_ends_non_finite(self):
         # f = x^2 with its exact gradient at the start only: after one step
         # the gradient is NaN, and the solve stops at that iterate
+        f = lambda z, mu: float(z @ z)
         report = minimize_smoothed(
-            lambda z, mu: float(z @ z),
-            lambda z, mu: 2.0 * z if z[0] == 1.0 else np.full_like(z, np.nan),
+            SmoothedModel(
+                f,
+                lambda z, mu: 2.0 * z if z[0] == 1.0 else np.full_like(z, np.nan),
+                lambda z: f(z, 0.0),
+                lambda z, d: lambda a, mu: f(z + a * d, mu),
+            ),
             [1.0],
         )
         assert report.status is SolveStatus.NON_FINITE

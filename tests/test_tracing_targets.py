@@ -43,3 +43,26 @@ def test_both_routes_call_the_traced_kernels():
     expected = {"core.obj", "core.grad", "core.raw", "solver.armijo",
                 "ev.obj", "ev.grad", "ev.raw"}
     assert expected - called == set()
+
+
+def test_line_search_trials_bypass_the_public_kernels():
+    # trials and the per-iterate raw value are evaluated along the ray, so
+    # no objective span nests in a line search, and each solve's one raw
+    # span is its start row
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    cfg = SolverConfig(max_iter=5)
+    with tracer.installed():
+        run_experiment(builtin_example("ex4_1"), SamplerSpec("halton", count=10, dim=1),
+                       cfg, GivenStart((0.5, 2.0)), "erm")
+        run_experiment(builtin_example("ex2_1"), SamplerSpec("scenarios", dim=1),
+                       cfg, GivenStart((0.0, 0.0, 0.0, 0.0)), "ev")
+    names = {rec[tracing.ID]: rec[tracing.NAME] for rec in tracer.spans}
+    assert "solver.armijo" in names.values()
+    nested = [rec[tracing.NAME] for rec in tracer.spans
+              if rec[tracing.NAME] in ("core.obj", "ev.obj")
+              and names.get(rec[tracing.PARENT]) == "solver.armijo"]
+    assert nested == []
+    raw = sorted((names[rec[tracing.SOLVE]], rec[tracing.NAME])
+                 for rec in tracer.spans if rec[tracing.NAME] in ("core.raw", "ev.raw"))
+    assert raw == [("solver.ev_solve", "ev.raw"), ("solver.solve", "core.raw")]
