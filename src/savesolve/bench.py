@@ -67,9 +67,7 @@ class RunRecord:
     """One experiment outcome; the table emitters print N, x0, x* and f(x*)."""
 
     example_id: str = ""
-    route: str = "erm"
     N: int = 0
-    sampler: str = ""
     x0: np.ndarray = field(default_factory=lambda: np.zeros(0))
     x_star: np.ndarray = field(default_factory=lambda: np.zeros(0))
     f_star: float = float("nan")
@@ -105,20 +103,16 @@ def run_experiment(
         samples = generate(sampler, problem)
         report = solve(problem, samples, x0, cfg)
         count = samples.N
-        desc = _describe_sampler(sampler)
         ev_on_uniform = False
     else:
         inst = expected_instance(problem)
         report = ev_solve(inst, x0, cfg)
         count = inst.count
-        desc = "expected-value"
         ev_on_uniform = isinstance(problem.distribution, UniformBox)
     wall = time.perf_counter() - start
     record = RunRecord(
         example_id=example_id,
-        route=route,
         N=count,
-        sampler=desc,
         x0=x0,
         x_star=report.x_final,
         f_star=report.f_final,
@@ -130,14 +124,6 @@ def run_experiment(
         ev_on_uniform=ev_on_uniform,
     )
     return record, report
-
-
-def _describe_sampler(spec: SamplerSpec) -> str:
-    if spec.kind == "pseudorandom":
-        return f"pseudorandom(seed={spec.seed})"
-    if spec.kind == "halton":
-        return f"halton(offset={spec.offset})"
-    return "scenarios"
 
 
 def _fmt_vector(v: np.ndarray) -> str:

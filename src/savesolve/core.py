@@ -21,6 +21,12 @@ so the sample average is evaluated as tr(R^T M R) through the weighted
 moments M of u, fixed once per sample set: objective and gradient calls cost
 O(m n^2 + m^2 n) whatever the sample count.
 
+Each route values a lift W L(x) of the rows L(x) = _A x - _b: erm lifts with
+the moment factor F (F^T F = M) and ev with its points U = [1, points].  L is
+linear in x, so one line-search ray, _ray, serves both routes: it forms
+W L(x) and W (_A d) once, and each trial at x + alpha d is their combination
+passed to the route's one value formula, with no n x n product.
+
 All operations are pure functions of their inputs; problem and sample objects
 are treated as read-only after construction, so they are safe to share across
 concurrent solves.
@@ -307,26 +313,21 @@ def _affine_adjoint(problem, S, local):
     return S.ravel() @ problem._A.reshape(-1, problem.n) - local
 
 
-def _mean_square(samples, R):
-    """(1/N) sum_i w_i ||[1; w_i]^T R||^2 = ||F R||_F^2, a sum of squares."""
-    FR = samples._factor @ R
-    return float(np.vdot(FR, FR))
+def _erm_value(F, Y, z, mu):
+    """smoothed_objective at z over its lifted rows Y = F L(z):
+    ||Y - F[:, :1] smooth_abs(z, mu)||_F^2, as psi enters row 0 of L."""
+    P = Y - F[:, :1] * smooth_abs(z, mu)
+    return float(np.vdot(P, P))
 
 
-def _erm_ray(problem, samples, x, d):
-    """(alpha, mu) -> smoothed_objective at x + alpha d, with no n x n product
-    per call: the affine rows are linear in x, so F R there is
-    F L + alpha F (_A d) less the psi column, with L = _A x - _b formed
-    fresh at x."""
-    F = samples._factor
-    FL = F @ _affine_rows(problem, x, 0.0)
-    FD = F @ (problem._A @ d)
-
-    def value(alpha, mu):
-        P = FL + alpha * FD - F[:, :1] * smooth_abs(x + alpha * d, mu)
-        return float(np.vdot(P, P))
-
-    return value
+def _ray(problem, W, value, x, d):
+    """(alpha, mu) -> value(W L(x + alpha d), x + alpha d, mu) for a route's
+    lift W of the affine rows L(z) = _A z - _b, with no n x n product per
+    call: L is linear in z, so W L there is Y + alpha Q, with Y = W L(x)
+    formed fresh at x and Q = W (_A d)."""
+    Y = W @ _affine_rows(problem, x, 0.0)
+    Q = W @ (problem._A @ d)
+    return lambda alpha, mu: value(Y + alpha * Q, x + alpha * d, mu)
 
 
 def erm_objective(problem: StochasticProblem, samples: SampleSet, x) -> float:
@@ -345,7 +346,8 @@ def smoothed_objective(
     """erm_objective with |x| replaced by smooth_abs(x, mu); equal at mu = 0."""
     _check_samples(problem, samples)
     x = _check_vector(x, problem.n, "x")
-    return _mean_square(samples, _affine_rows(problem, x, smooth_abs(x, mu)))
+    F = samples._factor
+    return _erm_value(F, F @ _affine_rows(problem, x, 0.0), x, mu)
 
 
 def smoothed_jacobian(problem: StochasticProblem, x, omega, mu: float) -> np.ndarray:

@@ -21,7 +21,10 @@ that the smoothing gradient machinery can handle directly.
 The expected coefficients and every scenario block are the affine family
 evaluated at one row each of a points array (the mean of w, then the
 scenario points), so with U = [1, points] both are U @ R over core's affine
-residual rows R, and no per-scenario matrix is ever formed.
+residual rows R, and no per-scenario matrix is ever formed.  U is this
+route's lift of the rows: _ev_value reads the whole objective off U L(x),
+and core's one ray evaluates each line-search trial from U L(x) and
+U (_A d), formed once per iteration.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .core import (
     _check_vector,
     _lift,
     _points_array,
+    _ray,
     eval_A,
     eval_b,
     residual,
@@ -157,31 +161,18 @@ def ev_objective(inst: EvInstance, x, mu: float) -> float:
     the squared constrained-system residual.
     """
     x = _check_vector(x, inst.n, "x")
-    return _reduced_value(*_constraint_rows(inst, x), mu)
+    return _ev_value(inst._U @ _affine_rows(inst.problem, x, 0.0), x, mu)
 
 
-def _reduced_value(G, H, mu):
-    """ev_objective over the constraint rows G, H of _constraint_rows."""
+def _ev_value(Y, z, mu):
+    """ev_objective at z over its lifted rows Y = U L(z), whose constraint
+    rows are Y + z and Y - z."""
+    G, H = Y + z, Y - z
     phi = smoothed_fb(G[0], H[0], mu)
     slack_G = np.minimum(0.0, G[1:])
     slack_H = np.minimum(0.0, H[1:])
     return 0.5 * (float(phi @ phi) + float(np.vdot(slack_G, slack_G))
                   + float(np.vdot(slack_H, slack_H)))
-
-
-def _ev_ray(inst: EvInstance, x, d):
-    """(alpha, mu) -> ev_objective at x + alpha d, with no n x n product per
-    call: the constraint rows there are C + alpha Q +- (x + alpha d), with
-    C = U L(x) formed fresh at x and Q = U (_A d)."""
-    C = inst._U @ _affine_rows(inst.problem, x, 0.0)
-    Q = inst._U @ (inst.problem._A @ d)
-
-    def value(alpha, mu):
-        z = x + alpha * d
-        R = C + alpha * Q
-        return _reduced_value(R + z, R - z, mu)
-
-    return value
 
 
 def ev_gradient(inst: EvInstance, x, mu: float) -> np.ndarray:
@@ -228,7 +219,7 @@ def ev_solve(inst: EvInstance, x0, cfg: SolverConfig | None = None) -> SolveRepo
         lambda z, mu: ev_objective(inst, z, mu),
         lambda z, mu: ev_gradient(inst, z, mu),
         lambda z: ev_objective(inst, z, 0.0),
-        lambda z, d: _ev_ray(inst, z, d),
+        lambda z, d: _ray(inst.problem, inst._U, _ev_value, z, d),
     )
     return minimize_smoothed(model, x0, cfg)
 

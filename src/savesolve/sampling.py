@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +66,8 @@ def radical_inverse(index: int | np.ndarray, base: int) -> float | np.ndarray:
     idx = np.asarray(index)
     if idx.dtype.kind not in "iu" or idx.size and not 0 <= idx.min() <= idx.max() < 2**63:
         raise ValueError(f"index must be an integer in [0, 2**63), got {index!r}")
-    base = int(base)
+    # the prime check carries the base >= 2 bound
+    _check_int(base, "base", 0)
     if not _is_prime(base):
         raise ValueError(f"base must be a prime >= 2, got {base}")
     idx = idx.astype(np.int64)
@@ -88,8 +88,11 @@ def halton_points(count: int, dim: int, offset: int = 0) -> np.ndarray:
     Successive calls with growing count share a prefix, so nested observation
     sets are the leading rows of a larger set.  offset + count must be below 2**63.
     """
-    offset = operator.index(offset)
-    if offset + count >= 2**63:
+    _check_int(count, "count", 0)
+    _check_int(dim, "dim", 0)
+    _check_int(offset, "offset", 0)
+    # as Python ints, since an int64 sum would wrap past the bound
+    if int(offset) + int(count) >= 2**63:
         raise ValueError(f"offset + count must be below 2**63, got offset {offset}")
     index = np.arange(count) + offset + 1
     out = np.empty((count, dim))

@@ -26,6 +26,7 @@ non-finite trial value just fails the Armijo test.
 from __future__ import annotations
 
 import enum
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -36,7 +37,8 @@ from .core import (
     SampleSet,
     StochasticProblem,
     _check_int,
-    _erm_ray,
+    _erm_value,
+    _ray,
     erm_objective,
     smoothed_gradient,
     smoothed_objective,
@@ -249,10 +251,11 @@ def solve(
     gradient stops being finite; the full iterate trace is recorded either
     way.  f_final is the unsmoothed objective at the final point.
     """
+    F = samples._factor
     model = SmoothedModel(
         lambda z, mu: smoothed_objective(problem, samples, z, mu),
         lambda z, mu: smoothed_gradient(problem, samples, z, mu),
         lambda z: erm_objective(problem, samples, z),
-        lambda z, d: _erm_ray(problem, samples, z, d),
+        lambda z, d: _ray(problem, F, functools.partial(_erm_value, F), z, d),
     )
     return minimize_smoothed(model, x0, cfg)

@@ -30,7 +30,6 @@ class TestRunExperiment:
         record, report = run_ex4_1()
         assert record.example_id == "ex4_1"
         assert record.N == 10
-        assert record.sampler == "pseudorandom(seed=10)"
         assert record.status is SolveStatus.CONVERGED
         assert record.iterations == report.iterations <= 10000
         assert record.f_star >= 0.0
@@ -72,9 +71,7 @@ class TestRunExperiment:
             "ev",
             example_id="ex2_1",
         )
-        assert record.route == "ev"
         assert record.N == 2
-        assert record.sampler == "expected-value"
         assert not record.ev_on_uniform
         assert np.max(np.abs(record.x_star - 1.0)) <= 1e-4
 
@@ -86,7 +83,6 @@ class TestRunExperiment:
         record, _ = run_experiment(
             problem, spec, SolverConfig(), GivenStart((0.5, 0.5, 0.5, 0.5)), "erm"
         )
-        assert record.sampler == "scenarios"
         assert record.N == 2
         assert record.status is SolveStatus.CONVERGED
         assert np.max(np.abs(record.x_star - 1.0)) <= 1e-4

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,7 @@ from savesolve import (
     smoothed_objective,
     solve,
 )
-from savesolve.core import _affine_adjoint, _affine_rows, _erm_ray
+from savesolve.core import _affine_adjoint, _affine_rows, _erm_value, _ray
 
 
 @pytest.fixture
@@ -490,11 +491,15 @@ class TestErmRay:
         d = 10.0**d_exp * rng.uniform(-1.0, 1.0, n)
         alpha = 0.5**j
         mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
-        got = _erm_ray(problem, samples, x, d)(alpha, mu)
+        F = samples._factor
+        ray = _ray(problem, F, functools.partial(_erm_value, F), x, d)
+        got = ray(alpha, mu)
         z = x + alpha * d
         value, value_scale, _, _ = direct_erm(problem, samples, z, mu)
         assert abs(got - value) <= 1e-12 * value_scale
         assert abs(got - smoothed_objective(problem, samples, z, mu)) <= 1e-12 * value_scale
+        # one value formula: the ray's start is the objective, bit for bit
+        assert ray(0.0, mu) == smoothed_objective(problem, samples, x, mu)
 
 
 class TestSampleMoments:

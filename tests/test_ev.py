@@ -25,7 +25,8 @@ from savesolve import (
     verify_glcp,
     verify_save,
 )
-from savesolve.ev import _ev_ray
+from savesolve.core import _ray
+from savesolve.ev import _ev_value
 
 EX2_1_STARTS = [
     (2.5127, -2.4490, 0.0596, 1.9908),
@@ -326,11 +327,14 @@ class TestEvRay:
         d = 10.0**d_exp * rng.uniform(-1.0, 1.0, n)
         alpha = 0.5**j
         mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
-        got = _ev_ray(inst, x, d)(alpha, mu)
+        ray = _ray(inst.problem, inst._U, _ev_value, x, d)
+        got = ray(alpha, mu)
         z = x + alpha * d
         value, value_scale, _, _ = direct_ev(inst.problem, z, mu)
         assert abs(got - value) <= 1e-12 * value_scale
         assert abs(got - ev_objective(inst, z, mu)) <= 1e-12 * value_scale
+        # one value formula: the ray's start is the objective, bit for bit
+        assert ray(0.0, mu) == ev_objective(inst, x, mu)
 
 
 class TestSlackElimination:

@@ -59,6 +59,12 @@ class TestRadicalInverse:
         with pytest.raises(ValueError, match="prime"):
             radical_inverse(3, 1)
 
+    @pytest.mark.parametrize("base", [2.5, "3", 3.0])
+    def test_non_integer_base_rejected(self, base):
+        # truncating 2.5 would silently give the base-2 value
+        with pytest.raises(ValueError, match="base"):
+            radical_inverse(3, base)
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="index"):
             radical_inverse(-1, 2)
@@ -126,6 +132,19 @@ class TestHalton:
         assert halton_points(3, 2, 2**63 - 4).max() < 1.0
         with pytest.raises(ValueError, match="offset"):
             halton_points(3, 1, 2**63 - 3)
+
+    def test_negative_offset_rejected(self):
+        # the first index is offset + 1, so -1 would emit index 0, the point 0.0
+        with pytest.raises(ValueError, match="offset"):
+            halton_points(2, 1, offset=-1)
+
+    @pytest.mark.parametrize("count, dim, name", [
+        (-1, 1, "count"), (2.0, 1, "count"), ("2", 1, "count"),
+        (2, -1, "dim"), (2, 2.0, "dim"), (2, True, "dim"),
+    ])
+    def test_bad_count_or_dim_rejected(self, count, dim, name):
+        with pytest.raises(ValueError, match=name):
+            halton_points(count, dim)
 
     @pytest.mark.parametrize("N", [16, 256])
     def test_mean_close_to_half(self, N):
