@@ -63,11 +63,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_INPUT)
 
 
-def _parse_floats(text: str) -> np.ndarray:
+def _parse_floats(text: str, flag: str) -> np.ndarray:
     try:
-        return np.array([float(c) for c in text.split(",") if c.strip() != ""])
+        values = np.array([float(c) for c in text.split(",") if c.strip() != ""])
     except ValueError:
-        raise ValueError(f"expected a comma-separated list of numbers, got {text!r}")
+        raise ValueError(f"{flag}: expected a comma-separated list of numbers, got {text!r}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{flag}: expected finite numbers, got {text!r}")
+    return values
 
 
 def _parse_counts(text: str) -> list[int]:
@@ -167,7 +170,7 @@ def _cmd_run(args) -> int:
                  if getattr(args, f.replace("-", "_")) is not None]
         if drawn:
             raise ValueError(f"{', '.join(drawn)}: --x0 gives the start, so none is drawn")
-        policy = GivenStart(tuple(_parse_floats(args.x0)))
+        policy = GivenStart(tuple(_parse_floats(args.x0, "--x0")))
     else:
         policy = _override(
             UniformRandomStart(), lo=args.x0_lo, hi=args.x0_hi, seed=args.x0_seed
@@ -205,10 +208,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     problem, _, _ = _load_problem(args)
-    x = _parse_floats(args.x)
+    x = _parse_floats(args.x, "--x")
     tol = args.tol
     if args.omega is not None:
-        omegas = [_parse_floats(args.omega)]
+        omegas = [_parse_floats(args.omega, "--omega")]
     elif isinstance(problem.distribution, FiniteScenarios):
         omegas = list(problem.distribution.omegas)
     else:
@@ -234,14 +237,19 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     inst = load_case2_file(args.case2_file)
-    x = _parse_floats(args.x)
+    x = _parse_floats(args.x, "--x")
+    if args.qmc is not None:
+        try:
+            spec = SamplerSpec("halton", count=args.qmc, dim=inst.m)
+        except ValueError as exc:
+            raise ValueError(f"--qmc: {exc}") from None
     value = exact_objective(inst, x)
     print(f"exact objective: {value:.12g}")
     if args.qmc is not None:
         from .analytic import as_save_problem
 
         problem = as_save_problem(inst)
-        samples = generate(SamplerSpec("halton", count=args.qmc, dim=problem.m), problem)
+        samples = generate(spec, problem)
         estimate = erm_objective(problem, samples, x)
         print(f"halton estimate (N={args.qmc}): {estimate:.12g}")
         print(f"absolute difference: {abs(estimate - value):.3e}")

@@ -13,13 +13,19 @@ by replacing |x| with smooth_abs(x, mu) = sqrt(x^2 + mu), together with the
 exact Jacobian and gradient of the smoothed residual.  smooth_abs is the one
 home of that rule for both routes, and _check_kink the one test for its kink.
 
-A problem stores the family as two stacks over u = [1; w]: A(w) is
+A problem stores the family as two read-only stacks over u = [1; w]: A(w) is
 sum_j u_j _A[j] and b(w) is sum_j u_j _b[j], with row 0 the base.  Every
 affine quantity is one contraction with u.  The residual at w is u^T R, where
 R = _A x - _b with psi taken off row 0 holds the (m + 1) x n affine rows at x,
 so the sample average is evaluated as tr(R^T M R) through the weighted
-moments M of u, fixed once per sample set: objective and gradient calls cost
-O(m n^2 + m^2 n) whatever the sample count.
+moments M of u, fixed once per sample set.  The products with the stack,
+_apply (the rows A_j x) and _apply_adjoint (sum_j A_j^T s_j), run over a
+_Band, the union of the slices' nonzero diagonals, when a fixed cost rule
+says that is cheaper than the dense stack, as on the tridiagonal ex4_4 with
+n >= 151; a diagonal stack is a band of width one.  So objective and
+gradient calls cost O(m w n + m^2 n) for band width w, O(m n^2 + m^2 n)
+dense, whatever the sample count.  eval_A, residual and smoothed_jacobian
+stay dense: they are the oracles.
 
 Each route values a lift W L(x) of the rows L(x) = _A x - _b: erm lifts with
 the moment factor F (F^T F = M) and ev with its points U = [1, points].  L is
@@ -183,6 +189,9 @@ class StochasticProblem:
         # is stored once, and never in the caller's array
         self._A = np.stack([A_base, *A_terms])
         self._b = np.stack([b_base, *b_terms])
+        self._band = _Band.of(self._A)
+        # read-only, so that no write reaches the stack and misses the band
+        self._A.flags.writeable = self._b.flags.writeable = False
         self.A_base, self.b_base = self._A[0], self._b[0]
         self.A_terms = list(self._A[1:])
         self.b_terms = list(self._b[1:])
@@ -230,6 +239,89 @@ class SampleSet:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
+
+
+# A band product costs about as much as a dense one over _BAND_FIXED
+# entries, plus _BAND_ENTRY dense entries per band entry: measured on one
+# core of a 2-vCPU Xeon, numpy's einsum took about 7 us + 1.1 ns per band
+# entry and OpenBLAS gemv about 0.2 ns per dense entry, so ex4_4 (m = 1,
+# three diagonals) takes the band from n = 151 on
+_BAND_FIXED = 40_000
+_BAND_ENTRY = 6
+
+
+@dataclass(frozen=True)
+class _Band:
+    """The stack over the union of its nonzero diagonals, offsets -lower
+    through upper: for offset o_t = t - lower, rows[j, t, i] = A_j[i, i + o_t]
+    and cols[j, t, k] = A_j[k - o_t, k], zero outside the matrix.  The gather
+    indices i + o_t and k - o_t are clipped into range, where the entry they
+    meet is zero."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    row_index: np.ndarray
+    col_index: np.ndarray
+
+    @classmethod
+    def of(cls, A: np.ndarray) -> _Band | None:
+        """The band of the stack A, or None when dense products are cheaper."""
+        count, n, _ = A.shape
+        # the cost rule: a band product beats the dense one below this width
+        max_width = (count * n * n - _BAND_FIXED) / (_BAND_ENTRY * count * n)
+        if max_width <= 1:
+            return None
+        lower, upper = _bandwidths(A, max_width)
+        width = lower + upper + 1
+        if width >= max_width:
+            return None
+        rows, cols = np.zeros((2, count, width, n))
+        for t, off in enumerate(range(-lower, upper + 1)):
+            # entry (i, i + off) of each slice, for i from first to first + size
+            first, size = max(0, -off), n - abs(off)
+            diag = np.diagonal(A, off, 1, 2)
+            rows[:, t, first:first + size] = diag
+            cols[:, t, first + off:first + off + size] = diag
+        offsets = np.arange(-lower, upper + 1)[:, None]
+        i = np.arange(n)
+        return cls(rows, cols, np.clip(i + offsets, 0, n - 1), np.clip(i - offsets, 0, n - 1))
+
+
+def _bandwidths(A: np.ndarray, stop: float, chunk: int = 64) -> tuple[int, int]:
+    """(lower, upper): the largest i - j and j - i over the nonzeros
+    A_s[i, j] of every slice, found chunk rows at a time, so that the
+    nonzero pattern takes O(chunk n) memory, not O(n^2).  The scan ends
+    early once lower + upper + 1 reaches stop."""
+    n = A.shape[-1]
+    rows = A.reshape(-1, n)
+    lower = upper = 0
+    for start in range(0, rows.shape[0], chunk):
+        nz = rows[start:start + chunk] != 0
+        i = np.arange(start, start + nz.shape[0]) % n
+        found = nz.any(axis=1)
+        first = nz.argmax(axis=1)
+        last = n - 1 - nz[:, ::-1].argmax(axis=1)
+        lower = max(lower, int(np.max(i - first, where=found, initial=0)))
+        upper = max(upper, int(np.max(last - i, where=found, initial=0)))
+        if lower + upper + 1 >= stop:
+            break
+    return lower, upper
+
+
+def _apply(problem, x):
+    """The rows A_j x of the stack for each j, shape (m + 1, n): _A @ x."""
+    band = problem._band
+    if band is None:
+        return problem._A @ x
+    return np.einsum("jti,ti->ji", band.rows, x.take(band.row_index))
+
+
+def _apply_adjoint(problem, S):
+    """sum_j A_j^T S_j over the rows S, shape (m + 1, n)."""
+    band = problem._band
+    if band is None:
+        return S.ravel() @ problem._A.reshape(-1, problem.n)
+    return np.einsum("jtk,jtk->k", band.cols, S.take(band.col_index, axis=1))
 
 
 def _check_vector(v, size: int, name: str) -> np.ndarray:
@@ -297,7 +389,7 @@ def _affine_rows(problem, x, psi):
     """[A_base x - psi - b_base; A_j x - b_j for each j], shape (m + 1, n):
     the residual at w is [1; w]^T times these rows.  psi comes off row 0
     before b_base, in the order of that formula."""
-    R = problem._A @ x
+    R = _apply(problem, x)
     R[0] -= psi
     R -= problem._b
     return R
@@ -310,7 +402,7 @@ def _affine_adjoint(problem, S, local):
     For points w_i and rows z_i, S = U^T Z with U = _lift(points) gives
     sum_i A(w_i)^T z_i - local, with no per-point matrix formed.
     """
-    return S.ravel() @ problem._A.reshape(-1, problem.n) - local
+    return _apply_adjoint(problem, S) - local
 
 
 def _erm_value(F, Y, z, mu):
@@ -326,7 +418,7 @@ def _ray(problem, W, value, x, d):
     call: L is linear in z, so W L there is Y + alpha Q, with Y = W L(x)
     formed fresh at x and Q = W (_A d)."""
     Y = W @ _affine_rows(problem, x, 0.0)
-    Q = W @ (problem._A @ d)
+    Q = W @ _apply(problem, d)
     return lambda alpha, mu: value(Y + alpha * Q, x + alpha * d, mu)
 
 

@@ -226,8 +226,8 @@ def ev_solve(inst: EvInstance, x0, cfg: SolverConfig | None = None) -> SolveRepo
 
 def _check_tol(tol) -> float:
     tol = float(tol)
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     return tol
 
 

@@ -116,6 +116,14 @@ class Iterate:
 
 @dataclass(eq=False)
 class SolveReport:
+    """A solve's outcome, its iterate trace and its call counts.
+
+    value_calls and gradient_calls count the model's value and gradient
+    calls, trials the line-search evaluations of the ray (a failed search's
+    included), backtracks[k - 1] the rejected trials of iteration k, and
+    mu_shrinks the iterations k that ended with mu shrunk.
+    """
+
     x_final: np.ndarray
     f_final: float
     grad_norm_final: float
@@ -123,6 +131,11 @@ class SolveReport:
     iterations: int
     status: SolveStatus
     trace: list[Iterate]
+    value_calls: int
+    gradient_calls: int
+    trials: int
+    backtracks: list[int]
+    mu_shrinks: list[int]
 
 
 class LineSearchError(RuntimeError):
@@ -192,6 +205,14 @@ def minimize_smoothed(
     f_cur = model.value(x, mu)
     g = model.gradient(x, mu)
     gn = float(np.linalg.norm(g))
+    value_calls = gradient_calls = 1
+    trials = 0
+    backtracks, mu_shrinks = [], []
+
+    def phi(alpha):  # one counted trial on this iteration's ray
+        nonlocal trials
+        trials += 1
+        return ray(alpha, mu)
 
     trace = [Iterate(0, x, f_cur, model.raw(x), gn, mu, 0.0)]
     k = 0
@@ -207,14 +228,15 @@ def minimize_smoothed(
             break
         d = -g
         ray = model.ray(x, d)
+        before = trials
         try:
-            alpha, x_new, f_new = armijo_backtrack(
-                lambda a: ray(a, mu), x, d, f_cur, float(g @ d), cfg
-            )
+            alpha, x_new, f_new = armijo_backtrack(phi, x, d, f_cur, float(g @ d), cfg)
         except LineSearchError:
             status = SolveStatus.LINE_SEARCH_FAILURE
             break
+        backtracks.append(trials - before - 1)
         g_new = model.gradient(x_new, mu)
+        gradient_calls += 1
         gn_new = float(np.linalg.norm(g_new))
         x = x_new
         k += 1
@@ -222,8 +244,11 @@ def minimize_smoothed(
             f_cur, g, gn = f_new, g_new, gn_new
         else:
             mu = cfg.sigma * mu
+            mu_shrinks.append(k)
             f_cur = model.value(x, mu)
             g = model.gradient(x, mu)
+            value_calls += 1
+            gradient_calls += 1
             gn = float(np.linalg.norm(g))
         trace.append(Iterate(k, x, f_cur, ray(alpha, 0.0), gn, mu, alpha))
 
@@ -235,6 +260,11 @@ def minimize_smoothed(
         iterations=k,
         status=status,
         trace=trace,
+        value_calls=value_calls,
+        gradient_calls=gradient_calls,
+        trials=trials,
+        backtracks=backtracks,
+        mu_shrinks=mu_shrinks,
     )
 
 

@@ -310,6 +310,19 @@ class TestRunCommand:
             assert main(["run", "--example", "ex4_1", *extra]) == 64
             assert message in capsys.readouterr().err
 
+    def test_overflowing_start_on_the_band_path_exits_4(self):
+        # ex4_4 at n = 300 takes the band products
+        proc = subprocess.run(
+            [sys.executable, "-m", "savesolve", "run", "--example", "ex4_4",
+             "--n", "300", "--N", "10", "--x0", ",".join(["1e200"] * 300)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4
+        assert "status=non_finite" in proc.stdout
+        assert "Warning" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("command", ["run", "verify"])
     def test_n_with_problem_file_exits_64(self, tmp_path, capsys, command):
         path = tmp_path / "p.json"
@@ -413,6 +426,24 @@ class TestVerifyCommand:
         ) == 0
 
 
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--x", "nan,3", "--x: expected finite numbers"),
+        ("--x", "1,inf", "--x: expected finite numbers"),
+        ("--omega", "inf", "--omega: expected finite numbers"),
+        ("--tol", "inf", "tol must be positive and finite"),
+    ])
+    def test_non_finite_input_exits_64(self, capsys, flag, text, message):
+        # each used to print its checks and exit 0 or 1
+        args = {"--x": "1,3", "--omega": "0.5", "--tol": "1e-8", flag: text}
+        argv = ["verify", "--example", "ex4_1"]
+        for name, value in args.items():
+            argv += [name, value]
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
 class TestOracleCommand:
     def test_exact_value(self, tmp_path, capsys):
         doc = {"A": [[2.0]], "b_tilde": [1.0], "T": [[1.0]]}
@@ -435,6 +466,20 @@ class TestOracleCommand:
         assert "halton estimate" in out
         diff = float(out.strip().splitlines()[-1].split(":")[1])
         assert diff <= 1e-3
+
+    @pytest.mark.parametrize("extra, flag", [
+        (["--x", "nan,1"], "--x"),
+        (["--x=-inf", "--qmc", "16"], "--x"),
+        (["--x", "1.0", "--qmc", "0"], "--qmc"),
+    ])
+    def test_bad_input_exits_64_before_printing(self, tmp_path, capsys, extra, flag):
+        doc = {"A": [[2.0]], "b_tilde": [1.0], "T": [[1.0]]}
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["oracle", "--case2-file", str(path), *extra]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"save-solve: error: {flag}:")
 
     def test_bad_file_exits_64(self, tmp_path):
         path = tmp_path / "case.json"

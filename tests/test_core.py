@@ -25,7 +25,15 @@ from savesolve import (
     smoothed_objective,
     solve,
 )
-from savesolve.core import _affine_adjoint, _affine_rows, _erm_value, _ray
+from savesolve.core import (
+    _affine_adjoint,
+    _affine_rows,
+    _apply,
+    _apply_adjoint,
+    _erm_value,
+    _ray,
+)
+from savesolve.problems import problem_from_dict
 
 
 @pytest.fixture
@@ -192,6 +200,15 @@ class TestAffineStack:
         np.testing.assert_array_equal(problem.A_base, before)
 
     @pytest.mark.parametrize("m", [0, 2])
+    def test_stacks_are_read_only(self, m):
+        # a write would reach the dense stack and miss its band copy
+        problem, _ = random_stacks(np.random.default_rng(m), 3, m)
+        fields = [problem.A_base, problem.b_base, *problem.A_terms, *problem.b_terms]
+        for arr in [problem._A, problem._b, *fields]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("m", [0, 2])
     def test_results_do_not_write_through(self, m):
         problem, _ = random_stacks(np.random.default_rng(m), 3, m)
         A, b = problem._A.copy(), problem._b.copy()
@@ -201,6 +218,110 @@ class TestAffineStack:
         smoothed_jacobian(problem, np.ones(3), omega, 0.1)
         np.testing.assert_array_equal(problem._A, A)
         np.testing.assert_array_equal(problem._b, b)
+
+
+def banded_stacks(rng, n, m, lower, upper, zero_term):
+    """A problem whose slices have every diagonal from -lower to upper
+    nonzero and no other; with zero_term the last A_term is all zero, as
+    analytic.as_save_problem builds them."""
+    A = np.zeros((m + 1, n, n))
+    for off in range(-lower, upper + 1):
+        size = n - abs(off)
+        i = np.arange(max(0, -off), max(0, -off) + size)
+        signs = rng.choice([-1.0, 1.0], (m + 1, size))
+        A[:, i, i + off] = signs * rng.uniform(0.5, 2.0, (m + 1, size))
+    if zero_term and m:
+        A[m] = 0.0
+    return StochasticProblem(A[0], list(A[1:]), rng.uniform(-2.0, 2.0, n),
+                             list(rng.uniform(-2.0, 2.0, (m, n))))
+
+
+def scenario_document(rng, n, k):
+    """A tridiagonal base and a diagonal term over k finite scenarios, the
+    shape of the benchmark's generated ev_scenarios problems."""
+    A0 = np.diag(rng.uniform(3.0, 5.0, n)) + np.diag(rng.uniform(0.5, 1.5, n - 1), 1)
+    A0 += np.diag(rng.uniform(0.5, 1.5, n - 1), -1)
+    probs = rng.uniform(0.5, 1.5, k)
+    return {
+        "n": n, "m": 1,
+        "A_base": A0.tolist(), "A_terms": [np.diag(rng.uniform(0.5, 1.5, n)).tolist()],
+        "b_base": rng.uniform(-1.0, 1.0, n).tolist(), "b_terms": [np.ones(n).tolist()],
+        "distribution": {
+            "kind": "finite_scenarios",
+            "scenarios": [{"omega": [float(w)], "p": float(p)}
+                          for w, p in zip(rng.uniform(0.0, 2.0, k), probs / probs.sum())],
+        },
+    }
+
+
+class TestBandStorage:
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_diagonal_stack_gives_the_dense_bits(self, m):
+        # one nonzero per row and column: every other term is an exact zero
+        rng = np.random.default_rng(m)
+        n = 300
+        problem = banded_stacks(rng, n, m, 0, 0, zero_term=False)
+        assert problem._band.rows.shape[1] == 1
+        for _ in range(20):
+            x, S = rng.standard_normal(n), rng.standard_normal((m + 1, n))
+            np.testing.assert_array_equal(_apply(problem, x), problem._A @ x)
+            np.testing.assert_array_equal(
+                _apply_adjoint(problem, S), S.ravel() @ problem._A.reshape(-1, n)
+            )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(250, 320),
+        m=st.integers(0, 3),
+        lower=st.integers(0, 5),
+        upper=st.integers(0, 5),
+        zero=st.sampled_from(["none", "term", "stack"]),
+    )
+    @example(seed=0, n=250, m=0, lower=0, upper=0, zero="stack")
+    @example(seed=1, n=300, m=3, lower=1, upper=4, zero="term")
+    def test_band_rows_and_adjoint_match_the_dense_stack(self, seed, n, m, lower, upper, zero):
+        rng = np.random.default_rng(seed)
+        problem = banded_stacks(rng, n, m, lower, upper, zero_term=zero == "term")
+        if zero == "stack":
+            problem = StochasticProblem(np.zeros((n, n)), [np.zeros((n, n))] * m,
+                                        problem.b_base, problem.b_terms)
+            lower = upper = 0
+        assert problem._band.rows.shape[1] == lower + upper + 1
+        x, psi = rng.uniform(-3.0, 3.0, n), rng.uniform(0.0, 3.0, n)
+        S = rng.uniform(-2.0, 2.0, (m + 1, n))
+        local = rng.uniform(-1.0, 1.0, n)
+        A = problem._A
+        rows = A @ x
+        rows[0] -= psi
+        rows -= problem._b
+        rows_scale = np.abs(A) @ np.abs(x)
+        adjoint = S.ravel() @ A.reshape(-1, n) - local
+        adjoint_scale = np.abs(S).ravel() @ np.abs(A).reshape(-1, n)
+        assert np.all(np.abs(_affine_rows(problem, x, psi) - rows) <= 1e-14 * rows_scale)
+        assert np.all(
+            np.abs(_affine_adjoint(problem, S, local) - adjoint) <= 1e-14 * adjoint_scale
+        )
+
+    def test_classification(self):
+        banded = [
+            builtin_example("ex4_4", n=300),
+            problem_from_dict(scenario_document(np.random.default_rng(0), 250, 4)),
+        ]
+        rng = np.random.default_rng(1)
+        dense = [
+            StochasticProblem(rng.uniform(-1.0, 1.0, (300, 300)), [np.eye(300)],
+                              np.zeros(300), [np.ones(300)]),
+            *(builtin_example(e) for e in ("ex2_1", "ex4_1", "ex4_2", "ex4_3")),
+            *(builtin_example("ex4_4", n=n) for n in range(2, 11)),
+        ]
+        assert all(p._band is not None for p in banded)
+        assert all(p._band is None for p in dense)
+        assert banded[0]._band.rows.shape == (2, 3, 300)
+        # the scan reads every row: here the widest diagonal shows only in the last
+        A = builtin_example("ex4_4", n=300).A_base.copy()
+        A[-1, -5] = 1.0
+        assert StochasticProblem(A, [], np.zeros(300), [])._band.rows.shape == (1, 6, 300)
 
 
 class TestProblemValidation:

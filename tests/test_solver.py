@@ -1,3 +1,5 @@
+import collections
+import functools
 import math
 
 import numpy as np
@@ -19,6 +21,8 @@ from savesolve import (
     smoothed_objective,
     solve,
 )
+from savesolve.core import _erm_value, _ray
+from savesolve.ev import _ev_value, ev_gradient, ev_objective, ev_solve, expected_instance
 
 
 def quadratic_1d_problem():
@@ -267,3 +271,87 @@ class TestSolve:
         np.testing.assert_array_equal(a.x_final, b.x_final)
         assert a.iterations == b.iterations
         assert a.f_final == b.f_final
+
+
+def erm_model(problem, samples):
+    F = samples._factor
+    return SmoothedModel(
+        lambda z, mu: smoothed_objective(problem, samples, z, mu),
+        lambda z, mu: smoothed_gradient(problem, samples, z, mu),
+        lambda z: smoothed_objective(problem, samples, z, 0.0),
+        lambda z, d: _ray(problem, F, functools.partial(_erm_value, F), z, d),
+    )
+
+
+def ev_model(inst):
+    return SmoothedModel(
+        lambda z, mu: ev_objective(inst, z, mu),
+        lambda z, mu: ev_gradient(inst, z, mu),
+        lambda z: ev_objective(inst, z, 0.0),
+        lambda z, d: _ray(inst.problem, inst._U, _ev_value, z, d),
+    )
+
+
+def counted(model):
+    """model with its calls tallied: the ray's trials are its calls at
+    mu > 0, and its calls at mu = 0 the per-iterate raw values."""
+    calls = collections.Counter()
+
+    def tally(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    def ray(z, d):
+        phi = model.ray(z, d)
+        return lambda a, mu: tally("trial" if mu else "ray_raw", phi)(a, mu)
+
+    return model._replace(value=tally("value", model.value),
+                          gradient=tally("gradient", model.gradient), ray=ray), calls
+
+
+class TestSolveCounts:
+    @pytest.mark.parametrize("route", ["erm", "ev"])
+    def test_counts_match_the_model_calls(self, route):
+        if route == "erm":
+            problem = builtin_example("ex4_1")
+            samples = generate(SamplerSpec("halton", count=20, dim=1), problem)
+            model, calls = counted(erm_model(problem, samples))
+            x0 = [1.8, 0.4]
+            solved = solve(problem, samples, x0)
+        else:
+            inst = expected_instance(builtin_example("ex2_1"))
+            model, calls = counted(ev_model(inst))
+            x0 = [0.5, -1.0, 2.0, 0.0]
+            solved = ev_solve(inst, x0)
+        cfg = SolverConfig()
+        report = minimize_smoothed(model, x0, cfg)
+        assert (solved.trials, solved.backtracks) == (report.trials, report.backtracks)
+        assert report.status is SolveStatus.CONVERGED
+        assert report.value_calls == calls["value"]
+        assert report.gradient_calls == calls["gradient"]
+        assert report.trials == calls["trial"]
+        assert calls["ray_raw"] == report.iterations
+        trace = report.trace
+        assert len(report.backtracks) == report.iterations
+        assert sum(report.backtracks) + report.iterations == report.trials
+        assert max(report.backtracks) > 0
+        assert [it.step for it in trace[1:]] == [
+            cfg.rho_backtrack**b for b in report.backtracks
+        ]
+        shrinks = [cur.k for prev, cur in zip(trace, trace[1:]) if cur.mu < prev.mu]
+        assert shrinks and report.mu_shrinks == shrinks
+        assert report.value_calls == 1 + len(shrinks)
+        assert report.gradient_calls == 1 + report.iterations + len(shrinks)
+
+    def test_failed_line_search_trials_are_counted(self):
+        # the stiff scalar instance of test_line_search_failure_reported
+        problem = StochasticProblem([[100.0]], [], [0.0], [])
+        samples = SampleSet(np.zeros((1, 0)), np.ones(1))
+        model, calls = counted(erm_model(problem, samples))
+        report = minimize_smoothed(model, [1.0], SolverConfig(max_backtracks=2))
+        assert report.status is SolveStatus.LINE_SEARCH_FAILURE
+        assert report.trials == calls["trial"] == 3
+        assert report.backtracks == [] and report.mu_shrinks == []
+        assert (report.value_calls, report.gradient_calls) == (1, 1)
