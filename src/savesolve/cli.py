@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .analytic import exact_objective
+from .analytic import as_save_problem, exact_objective
 from .bench import (
     ROUTES,
     GivenStart,
@@ -239,17 +239,15 @@ def _cmd_oracle(args) -> int:
     inst = load_case2_file(args.case2_file)
     x = _parse_floats(args.x, "--x")
     if args.qmc is not None:
+        # drawn before the first print, so a count that cannot be drawn is refused first
+        problem = as_save_problem(inst)
         try:
-            spec = SamplerSpec("halton", count=args.qmc, dim=inst.m)
+            samples = generate(SamplerSpec("halton", count=args.qmc, dim=inst.m), problem)
         except ValueError as exc:
             raise ValueError(f"--qmc: {exc}") from None
     value = exact_objective(inst, x)
     print(f"exact objective: {value:.12g}")
     if args.qmc is not None:
-        from .analytic import as_save_problem
-
-        problem = as_save_problem(inst)
-        samples = generate(spec, problem)
         estimate = erm_objective(problem, samples, x)
         print(f"halton estimate (N={args.qmc}): {estimate:.12g}")
         print(f"absolute difference: {abs(estimate - value):.3e}")

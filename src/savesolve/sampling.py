@@ -3,8 +3,15 @@
 Three sampler kinds: seeded pseudorandom uniforms on [0,1]^m, deterministic
 Halton low-discrepancy points (first m primes as bases, indices starting at
 offset + 1), and passthrough of a problem's finite scenarios with their
-probability weights.  Halton coordinates reverse the digits of a whole int64
-index array one digit at a time, so every index must stay below 2**63.
+probability weights.
+
+A Halton coordinate is the digit reversal of an int64 index, so every index
+must stay below 2**63.  The low L digits of the whole index array come from
+one table lookup: the table holds the reversal's partial sums over one period
+P = base**L, built level by level in the order the digit loop adds them, so a
+lookup equals that loop bit for bit.  P is capped at twice the index count,
+so the table's memory follows the number of indices, never their magnitude;
+any digits above P are reversed one digit at a time over the index array.
 """
 
 from __future__ import annotations
@@ -57,11 +64,36 @@ def _first_primes(k: int) -> list[int]:
     return list(itertools.islice(filter(_is_prime, itertools.count(2)), k))
 
 
+def _reverse_digits(idx: np.ndarray, base: int, top: int) -> np.ndarray:
+    """Digit reversal of an int64 array whose entries lie in [0, top]."""
+    # level j holds the loop's sum after j digits for every c < base**j:
+    # entry t * base**(j-1) + lo is level j-1's entry lo plus f_j * t
+    table, f, period = np.zeros(1), 1.0, 1
+    while period <= top and period * base <= 2 * idx.size:
+        f /= base
+        table = (table + f * np.arange(base, dtype=float)[:, None]).ravel()
+        period *= base
+    if top < period:
+        r = table[idx]
+    else:
+        idx, low = np.divmod(idx, period)
+        r = table[low]
+        top //= period
+        while top:
+            idx, digit = np.divmod(idx, base)
+            f /= base
+            r += f * digit
+            top //= base
+    # above 2**53 the digit sum can round up to 1.0: keep the point in [0, 1)
+    return np.minimum(r, np.nextafter(1.0, 0.0))
+
+
 def radical_inverse(index: int | np.ndarray, base: int) -> float | np.ndarray:
     """Digit reversal of index in the given prime base, a value in [0, 1).
 
     index is a nonnegative integer below 2**63 or an array of them; an array
-    gives a float array of the same shape, a scalar a float.
+    gives a float array of the same shape, a scalar a float.  The partial-sum
+    table holds at most 2 * index.size entries, whatever the index values.
     """
     idx = np.asarray(index)
     if idx.dtype.kind not in "iu" or idx.size and not 0 <= idx.min() <= idx.max() < 2**63:
@@ -70,15 +102,7 @@ def radical_inverse(index: int | np.ndarray, base: int) -> float | np.ndarray:
     _check_int(base, "base", 0)
     if not _is_prime(base):
         raise ValueError(f"base must be a prime >= 2, got {base}")
-    idx = idx.astype(np.int64)
-    f = 1.0
-    r = np.zeros(idx.shape)
-    while idx.any():
-        idx, digit = np.divmod(idx, base)
-        f /= base
-        r += f * digit
-    # above 2**53 the digit sum can round up to 1.0: keep the point in [0, 1)
-    r = np.minimum(r, np.nextafter(1.0, 0.0))
+    r = _reverse_digits(idx.astype(np.int64), base, int(idx.max()) if idx.size else 0)
     return float(r) if r.ndim == 0 else r
 
 
@@ -92,12 +116,14 @@ def halton_points(count: int, dim: int, offset: int = 0) -> np.ndarray:
     _check_int(dim, "dim", 0)
     _check_int(offset, "offset", 0)
     # as Python ints, since an int64 sum would wrap past the bound
-    if int(offset) + int(count) >= 2**63:
+    top = int(offset) + int(count)
+    if top >= 2**63:
         raise ValueError(f"offset + count must be below 2**63, got offset {offset}")
-    index = np.arange(count) + offset + 1
+    # int(offset): a numpy uint64 offset would promote the indices to float64
+    index = np.arange(count) + int(offset) + 1
     out = np.empty((count, dim))
     for j, base in enumerate(_first_primes(dim)):
-        out[:, j] = radical_inverse(index, base)
+        out[:, j] = _reverse_digits(index, base, top)
     return out
 
 

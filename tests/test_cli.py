@@ -471,6 +471,8 @@ class TestOracleCommand:
         (["--x", "nan,1"], "--x"),
         (["--x=-inf", "--qmc", "16"], "--x"),
         (["--x", "1.0", "--qmc", "0"], "--qmc"),
+        # refused by numpy's size check before anything is allocated
+        (["--x", "1.0", "--qmc", str(2**63 - 1)], "--qmc"),
     ])
     def test_bad_input_exits_64_before_printing(self, tmp_path, capsys, extra, flag):
         doc = {"A": [[2.0]], "b_tilde": [1.0], "T": [[1.0]]}

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,25 @@ def scalar_radical_inverse(index, base):
         f /= base
         r += f * digit
     return min(r, math.nextafter(1.0, 0.0))
+
+
+def vector_radical_inverse(index, base):
+    """The per-digit pass over the whole index array, a fast oracle for large
+    index arrays: one divmod, multiply and add per digit."""
+    idx = np.asarray(index).astype(np.int64)
+    f = 1.0
+    r = np.zeros(idx.shape)
+    while idx.any():
+        idx, digit = np.divmod(idx, base)
+        f /= base
+        r += f * digit
+    return np.minimum(r, np.nextafter(1.0, 0.0))
+
+
+def vector_halton(count, dim, offset):
+    index = np.arange(count) + offset + 1
+    bases = [2, 3, 5, 7, 11, 13, 17, 19][:dim]
+    return np.stack([vector_radical_inverse(index, b) for b in bases], axis=1)
 
 
 def scalar_halton(count, dim, offset):
@@ -86,6 +106,30 @@ class TestRadicalInverse:
         with pytest.raises(ValueError, match="index"):
             radical_inverse(index, 2)
 
+    @pytest.mark.parametrize("base", [2, 3, 97])
+    def test_extreme_indices_match_both_oracles(self, base):
+        index = np.array([0, 1, 2**62, 2**63 - 1])
+        values = radical_inverse(index, base)
+        assert values.tobytes() == vector_radical_inverse(index, base).tobytes()
+        expected = [scalar_radical_inverse(int(i), base) for i in index]
+        assert values.tobytes() == np.array(expected).tobytes()
+
+    def test_index_magnitude_never_sizes_the_table(self):
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # the bound means something only if numpy buffers are traced
+        assert peak(lambda: np.zeros(2**14)) >= 2**17
+        assert peak(lambda: radical_inverse(np.array([2**63 - 1]), 2)) < 64 * 1024
+        assert peak(lambda: halton_points(1, 8, 2**63 - 2)) < 64 * 1024
+        # nor does the base: 1000003 digit slots would take 8 MB
+        assert peak(lambda: radical_inverse(np.array([3]), 1000003)) < 64 * 1024
+
 
 class TestHalton:
     def test_one_dimensional_prefix(self):
@@ -126,6 +170,22 @@ class TestHalton:
         assert points.shape == expected.shape
         assert points.tobytes() == expected.tobytes()
         assert np.all((points >= 0.0) & (points < 1.0))
+
+    def test_large_set_matches_per_digit_loop_bitwise(self):
+        assert halton_points(131072, 3).tobytes() == vector_halton(131072, 3, 0).tobytes()
+
+    @pytest.mark.parametrize("period", [2**17, 3**11, 5**7])
+    @pytest.mark.parametrize("past", [-1, 0, 1])
+    def test_last_index_at_table_period(self, period, past):
+        # 2 * count reaches the period but not the next one, so the table ends
+        # at exactly this period and the last index sits just below, on or past it
+        count = (period + 1) // 2
+        offset = period + past - count
+        points = halton_points(count, 3, offset)
+        assert points.tobytes() == vector_halton(count, 3, offset).tobytes()
+
+    def test_numpy_unsigned_offset(self):
+        np.testing.assert_array_equal(halton_points(3, 2, np.uint64(5)), halton_points(3, 2, 5))
 
     def test_last_index_bound(self):
         assert halton_points(3, 1, 2**63 - 4).shape == (3, 1)
