@@ -179,14 +179,17 @@ def _cmd_run(args) -> int:
     records = []
     last_report = None
     for count in counts:
-        record, report = run_experiment(
-            problem,
-            dataclasses.replace(sampler, count=count),
-            cfg,
-            policy,
-            args.route,
-            example_id=example_id,
-        )
+        try:
+            record, report = run_experiment(
+                problem,
+                dataclasses.replace(sampler, count=count),
+                cfg,
+                policy,
+                args.route,
+                example_id=example_id,
+            )
+        except MemoryError as exc:  # a sample set too large to allocate
+            raise ValueError(f"{'--N' if args.N else 'sampler count'}: {exc}") from None
         records.append(record)
         last_report = report
     print(emit_table(records, "aligned"), end="")
@@ -243,7 +246,7 @@ def _cmd_oracle(args) -> int:
         problem = as_save_problem(inst)
         try:
             samples = generate(SamplerSpec("halton", count=args.qmc, dim=inst.m), problem)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             raise ValueError(f"--qmc: {exc}") from None
     value = exact_objective(inst, x)
     print(f"exact objective: {value:.12g}")

@@ -42,7 +42,8 @@ from .core import (
     _check_vector,
     _lift,
     _points_array,
-    _ray,
+    _Ray,
+    _sumsq,
     eval_A,
     eval_b,
     residual,
@@ -166,13 +167,15 @@ def ev_objective(inst: EvInstance, x, mu: float) -> float:
 
 def _ev_value(Y, z, mu):
     """ev_objective at z over its lifted rows Y = U L(z), whose constraint
-    rows are Y + z and Y - z."""
+    rows are Y + z and Y - z.  Y and z may carry a leading block axis of
+    trial points, and then the value is one per trial."""
+    block = z.ndim == 2
+    z = z[..., None, :]
     G, H = Y + z, Y - z
-    phi = smoothed_fb(G[0], H[0], mu)
-    slack_G = np.minimum(0.0, G[1:])
-    slack_H = np.minimum(0.0, H[1:])
-    return 0.5 * (float(phi @ phi) + float(np.vdot(slack_G, slack_G))
-                  + float(np.vdot(slack_H, slack_H)))
+    phi = smoothed_fb(G[..., 0, :], H[..., 0, :], mu)
+    slack_G = np.minimum(0.0, G[..., 1:, :])
+    slack_H = np.minimum(0.0, H[..., 1:, :])
+    return 0.5 * (_sumsq(phi, block) + _sumsq(slack_G, block) + _sumsq(slack_H, block))
 
 
 def ev_gradient(inst: EvInstance, x, mu: float) -> np.ndarray:
@@ -219,7 +222,7 @@ def ev_solve(inst: EvInstance, x0, cfg: SolverConfig | None = None) -> SolveRepo
         lambda z, mu: ev_objective(inst, z, mu),
         lambda z, mu: ev_gradient(inst, z, mu),
         lambda z: ev_objective(inst, z, 0.0),
-        lambda z, d: _ray(inst.problem, inst._U, _ev_value, z, d),
+        lambda z, d: _Ray(inst.problem, inst._U, _ev_value, z, d),
     )
     return minimize_smoothed(model, x0, cfg)
 

@@ -10,8 +10,11 @@ objective.  One outer iteration:
          f(x_k + alpha d_k, mu_k) - f(x_k, mu_k)
              <= delta * alpha * grad f(x_k, mu_k)^T d_k,
      each trial evaluated along the ray alpha -> x_k + alpha d_k, whose
-     shared affine rows the model forms once (no n x n product per trial);
-     the new iterate's unsmoothed value is the same ray at mu = 0;
+     shared affine rows the model forms once (no n x n product per trial).
+     The trials come in blocks of consecutive steps, each block one set of
+     numpy calls, and a block is evaluated only when the search reaches it;
+     the new iterate's unsmoothed value is read off the accepted trial's
+     row of its block at mu = 0;
   4. shrink mu_{k+1} = sigma * mu_k when ||grad f(x_{k+1}, mu_k)|| falls
      below gamma_bar * mu_k, otherwise keep mu_{k+1} = mu_k.
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -38,7 +42,7 @@ from .core import (
     StochasticProblem,
     _check_int,
     _erm_value,
-    _ray,
+    _Ray,
     erm_objective,
     smoothed_gradient,
     smoothed_objective,
@@ -119,8 +123,9 @@ class SolveReport:
     """A solve's outcome, its iterate trace and its call counts.
 
     value_calls and gradient_calls count the model's value and gradient
-    calls, trials the line-search evaluations of the ray (a failed search's
-    included), backtracks[k - 1] the rejected trials of iteration k, and
+    calls, trials the trials the line searches consumed (a failed search's
+    included; rows of a block evaluated past the accepted trial are not
+    trials), backtracks[k - 1] the rejected trials of iteration k, and
     mu_shrinks the iterations k that ended with mu shrunk.
     """
 
@@ -146,14 +151,16 @@ class SmoothedModel(NamedTuple):
     """An objective family f(x, mu) as minimize_smoothed sees it.
 
     value(x, mu) is f, gradient(x, mu) its gradient in x and raw(x) the
-    unsmoothed f(x, 0).  ray(x, d) returns (alpha, mu) -> f(x + alpha d, mu),
-    which may fix once whatever the trials along that ray share.
+    unsmoothed f(x, 0).  ray(x, d) returns a ray along d, as core._Ray: its
+    block(alphas, mu) is the list of f(x + alpha d, mu) over the steps
+    alphas, at most ray.size of them, and raw(i) is f(x + alphas[i] d, 0)
+    for the last block.  A ray may fix once whatever its trials share.
     """
 
     value: Callable[[np.ndarray, float], float]
     gradient: Callable[[np.ndarray, float], np.ndarray]
     raw: Callable[[np.ndarray], float]
-    ray: Callable[[np.ndarray, np.ndarray], Callable[[float, float], float]]
+    ray: Callable[[np.ndarray, np.ndarray], _Ray]
 
 
 def armijo_backtrack(
@@ -183,6 +190,30 @@ def armijo_backtrack(
     )
 
 
+class _BlockSearch:
+    """phi for armijo_backtrack along a ray: its j-th call returns the trial
+    at steps[j], the search's j-th step, from the block of at most ray.size
+    steps that holds it.  The next block is evaluated only when the search
+    runs past the last one; trials counts the calls, the trials consumed."""
+
+    def __init__(self, ray, steps, mu):
+        self.ray, self.steps, self.mu = ray, steps, mu
+        self.trials = self.first = 0
+        self.values = []
+
+    def __call__(self, alpha):
+        j = self.trials
+        if j - self.first == len(self.values):
+            self.first = j
+            self.values = self.ray.block(self.steps[j:j + self.ray.size], self.mu)
+        self.trials += 1
+        return self.values[j - self.first]
+
+    def raw(self):
+        """f at the last trial's step with mu = 0, read off its block row."""
+        return self.ray.raw(self.trials - 1 - self.first)
+
+
 # the non_finite status reports what numpy's overflow warnings would
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def minimize_smoothed(
@@ -192,9 +223,13 @@ def minimize_smoothed(
 ) -> SolveReport:
     """Run the smoothing gradient method on a model's family f(x, mu).
 
-    The unsmoothed value, reported alongside the smoothed one in the trace
-    and the final report, is model.raw at the start and the accepted step's
-    ray at mu = 0 after it.  A non-finite x0 is a ValueError.
+    The line search takes its trials from blocks of the ray: a block holds
+    the next ray.size steps of the search (fewer when the search ends
+    sooner), and the next block is evaluated only when the search runs past
+    it.  The unsmoothed value, reported alongside the smoothed one in the
+    trace and the final report, is model.raw at the start and after it the
+    ray's raw value of the accepted trial's row.  A non-finite x0 is a
+    ValueError.
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x0, dtype=float).ravel().copy()
@@ -209,15 +244,12 @@ def minimize_smoothed(
     trials = 0
     backtracks, mu_shrinks = [], []
 
-    def phi(alpha):  # one counted trial on this iteration's ray
-        nonlocal trials
-        trials += 1
-        return ray(alpha, mu)
-
+    # armijo_backtrack's steps, by its own formula
+    steps = [cfg.rho_backtrack**j for j in range(cfg.max_backtracks + 1)]
     trace = [Iterate(0, x, f_cur, model.raw(x), gn, mu, 0.0)]
     k = 0
     while True:
-        if not (np.isfinite(f_cur) and np.isfinite(gn)):
+        if not (math.isfinite(f_cur) and math.isfinite(gn)):
             status = SolveStatus.NON_FINITE
             break
         if gn <= cfg.epsilon:
@@ -227,14 +259,15 @@ def minimize_smoothed(
             status = SolveStatus.ITERATION_CAP
             break
         d = -g
-        ray = model.ray(x, d)
-        before = trials
+        search = _BlockSearch(model.ray(x, d), steps, mu)
         try:
-            alpha, x_new, f_new = armijo_backtrack(phi, x, d, f_cur, float(g @ d), cfg)
+            alpha, x_new, f_new = armijo_backtrack(search, x, d, f_cur, float(g @ d), cfg)
         except LineSearchError:
             status = SolveStatus.LINE_SEARCH_FAILURE
             break
-        backtracks.append(trials - before - 1)
+        finally:
+            trials += search.trials
+        backtracks.append(search.trials - 1)
         g_new = model.gradient(x_new, mu)
         gradient_calls += 1
         gn_new = float(np.linalg.norm(g_new))
@@ -250,7 +283,7 @@ def minimize_smoothed(
             value_calls += 1
             gradient_calls += 1
             gn = float(np.linalg.norm(g))
-        trace.append(Iterate(k, x, f_cur, ray(alpha, 0.0), gn, mu, alpha))
+        trace.append(Iterate(k, x, f_cur, search.raw(), gn, mu, alpha))
 
     return SolveReport(
         x_final=x,
@@ -282,10 +315,11 @@ def solve(
     way.  f_final is the unsmoothed objective at the final point.
     """
     F = samples._factor
+    value = functools.partial(_erm_value, F[:, :1])
     model = SmoothedModel(
         lambda z, mu: smoothed_objective(problem, samples, z, mu),
         lambda z, mu: smoothed_gradient(problem, samples, z, mu),
         lambda z: erm_objective(problem, samples, z),
-        lambda z, d: _ray(problem, F, functools.partial(_erm_value, F), z, d),
+        lambda z, d: _Ray(problem, F, value, z, d),
     )
     return minimize_smoothed(model, x0, cfg)

@@ -395,6 +395,18 @@ class TestRunCommand:
         assert "offset" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sampler", ["pseudorandom", "halton"])
+    def test_unallocatable_count_exits_64(self, capsys, sampler):
+        # 2**50 points take 8 PiB: the allocation fails at once, touching
+        # nothing, after the count before it was solved
+        code = main(["run", "--example", "ex4_1", "--sampler", sampler,
+                     "--N", f"10,{2**50}"])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith("save-solve: error: --N:")
+        assert "Traceback" not in captured.err
+
     def test_solver_override_is_validated(self, capsys):
         code = main(["run", "--example", "ex4_1", "--rho", "1.5"])
         assert code == 64
@@ -473,6 +485,8 @@ class TestOracleCommand:
         (["--x", "1.0", "--qmc", "0"], "--qmc"),
         # refused by numpy's size check before anything is allocated
         (["--x", "1.0", "--qmc", str(2**63 - 1)], "--qmc"),
+        # 8 PiB of indices: the allocation fails at once, touching nothing
+        (["--x", "1.0", "--qmc", str(2**50)], "--qmc"),
     ])
     def test_bad_input_exits_64_before_printing(self, tmp_path, capsys, extra, flag):
         doc = {"A": [[2.0]], "b_tilde": [1.0], "T": [[1.0]]}

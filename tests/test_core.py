@@ -31,7 +31,8 @@ from savesolve.core import (
     _apply,
     _apply_adjoint,
     _erm_value,
-    _ray,
+    _Ray,
+    _sumsq,
 )
 from savesolve.problems import problem_from_dict
 
@@ -613,7 +614,7 @@ class TestErmRay:
         alpha = 0.5**j
         mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
         F = samples._factor
-        ray = _ray(problem, F, functools.partial(_erm_value, F), x, d)
+        ray = _Ray(problem, F, functools.partial(_erm_value, F[:, :1]), x, d)
         got = ray(alpha, mu)
         z = x + alpha * d
         value, value_scale, _, _ = direct_erm(problem, samples, z, mu)
@@ -621,6 +622,49 @@ class TestErmRay:
         assert abs(got - smoothed_objective(problem, samples, z, mu)) <= 1e-12 * value_scale
         # one value formula: the ray's start is the objective, bit for bit
         assert ray(0.0, mu) == smoothed_objective(problem, samples, x, mu)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**sampled_shapes, **ray_steps, size=st.integers(1, 12))
+    def test_block_rows_are_the_scalar_ray(self, seed, n, m, N, near, j, d_exp, raw, size):
+        rng = np.random.default_rng(seed)
+        problem, samples, x = random_sampled_problem(rng, n, m, N, near)
+        d = 10.0**d_exp * rng.uniform(-1.0, 1.0, n)
+        mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
+        F = samples._factor
+        ray = _Ray(problem, F, functools.partial(_erm_value, F[:, :1]), x, d)
+        alphas = [0.5**i for i in range(j, j + size)]
+        values = ray.block(alphas, mu)
+        assert np.array(values).tobytes() == np.array([ray(a, mu) for a in alphas]).tobytes()
+        for i, alpha in enumerate(alphas):
+            assert ray.raw(i) == ray(alpha, 0.0)
+
+    def test_block_size_rule(self):
+        # at most 12 trials and 4096 lifted entries in a block; a lift of
+        # more than 2048 entries (2 x 1025 here) is evaluated one trial at a time
+        for n, size in [(2, 12), (300, 6), (1024, 2), (1025, 1)]:
+            problem = builtin_example("ex4_4", n) if n > 2 else builtin_example("ex4_1")
+            samples = generate(SamplerSpec("halton", count=10, dim=1), problem)
+            F = samples._factor
+            x = np.ones(problem.n)
+            ray = _Ray(problem, F, functools.partial(_erm_value, F[:, :1]), x, x)
+            assert ray.size == size
+
+
+class TestBlockSums:
+    """The block value formulas' per-row sums of squares, one BLAS dot per
+    row, against np.vdot of each row alone on the installed numpy."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), J=st.integers(1, 12),
+           shape=st.one_of(st.tuples(st.integers(0, 3000)),
+                           st.tuples(st.integers(1, 50), st.integers(0, 300))))
+    def test_rows_are_vdot_bitwise(self, seed, J, shape):
+        rng = np.random.default_rng(seed)
+        V = rng.standard_normal((J, *shape)) * 10.0 ** rng.uniform(-3, 3, (J,) + (1,) * len(shape))
+        got = _sumsq(V, True)
+        want = np.array([np.vdot(row, row) for row in V])
+        assert got.tobytes() == want.tobytes()
+        assert _sumsq(V[0], False) == want[0]
 
 
 class TestSampleMoments:

@@ -25,7 +25,7 @@ from savesolve import (
     verify_glcp,
     verify_save,
 )
-from savesolve.core import _ray
+from savesolve.core import _Ray
 from savesolve.ev import _ev_value
 
 EX2_1_STARTS = [
@@ -327,7 +327,7 @@ class TestEvRay:
         d = 10.0**d_exp * rng.uniform(-1.0, 1.0, n)
         alpha = 0.5**j
         mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
-        ray = _ray(inst.problem, inst._U, _ev_value, x, d)
+        ray = _Ray(inst.problem, inst._U, _ev_value, x, d)
         got = ray(alpha, mu)
         z = x + alpha * d
         value, value_scale, _, _ = direct_ev(inst.problem, z, mu)
@@ -335,6 +335,22 @@ class TestEvRay:
         assert abs(got - ev_objective(inst, z, mu)) <= 1e-12 * value_scale
         # one value formula: the ray's start is the objective, bit for bit
         assert ray(0.0, mu) == ev_objective(inst, x, mu)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**instance_shapes, j=st.integers(0, 60), d_exp=st.floats(-6.0, 3.0),
+           raw=st.booleans(), size=st.integers(1, 12))
+    def test_block_rows_are_the_scalar_ray(self, seed, n, m, k, j, d_exp, raw, size):
+        rng = np.random.default_rng(seed)
+        inst = expected_instance(random_finite_problem(rng, n, m, k))
+        x = rng.uniform(-3, 3, size=n)
+        d = 10.0**d_exp * rng.uniform(-1.0, 1.0, n)
+        mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
+        ray = _Ray(inst.problem, inst._U, _ev_value, x, d)
+        alphas = [0.5**i for i in range(j, j + size)]
+        values = ray.block(alphas, mu)
+        assert np.array(values).tobytes() == np.array([ray(a, mu) for a in alphas]).tobytes()
+        for i, alpha in enumerate(alphas):
+            assert ray.raw(i) == ray(alpha, 0.0)
 
 
 class TestSlackElimination:

@@ -1,9 +1,12 @@
 import collections
 import functools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from savesolve import (
     LineSearchError,
@@ -21,8 +24,10 @@ from savesolve import (
     smoothed_objective,
     solve,
 )
-from savesolve.core import _erm_value, _ray
+from savesolve import solver
+from savesolve.core import FiniteScenarios, _erm_value, _Ray
 from savesolve.ev import _ev_value, ev_gradient, ev_objective, ev_solve, expected_instance
+from savesolve.solver import _BlockSearch
 
 
 def quadratic_1d_problem():
@@ -252,7 +257,7 @@ class TestSolve:
                 f,
                 lambda z, mu: 2.0 * z if z[0] == 1.0 else np.full_like(z, np.nan),
                 lambda z: f(z, 0.0),
-                lambda z, d: lambda a, mu: f(z + a * d, mu),
+                lambda z, d: PlainRay(f, z, d),
             ),
             [1.0],
         )
@@ -273,13 +278,29 @@ class TestSolve:
         assert a.f_final == b.f_final
 
 
+class PlainRay:
+    """The ray protocol over a plain f(z, mu), one trial per block."""
+
+    size = 1
+
+    def __init__(self, f, x, d):
+        self.f, self.x, self.d = f, x, d
+
+    def block(self, alphas, mu):
+        self.points = [self.x + a * self.d for a in alphas]
+        return [self.f(z, mu) for z in self.points]
+
+    def raw(self, i):
+        return self.f(self.points[i], 0.0)
+
+
 def erm_model(problem, samples):
     F = samples._factor
     return SmoothedModel(
         lambda z, mu: smoothed_objective(problem, samples, z, mu),
         lambda z, mu: smoothed_gradient(problem, samples, z, mu),
         lambda z: smoothed_objective(problem, samples, z, 0.0),
-        lambda z, d: _ray(problem, F, functools.partial(_erm_value, F), z, d),
+        lambda z, d: _Ray(problem, F, functools.partial(_erm_value, F[:, :1]), z, d),
     )
 
 
@@ -288,13 +309,14 @@ def ev_model(inst):
         lambda z, mu: ev_objective(inst, z, mu),
         lambda z, mu: ev_gradient(inst, z, mu),
         lambda z: ev_objective(inst, z, 0.0),
-        lambda z, d: _ray(inst.problem, inst._U, _ev_value, z, d),
+        lambda z, d: _Ray(inst.problem, inst._U, _ev_value, z, d),
     )
 
 
-def counted(model):
-    """model with its calls tallied: the ray's trials are its calls at
-    mu > 0, and its calls at mu = 0 the per-iterate raw values."""
+def counted(model, monkeypatch):
+    """model with its calls tallied: the trials the line searches consumed,
+    as solver's armijo_backtrack calls them, the rows of the blocks the rays
+    evaluated, and the rays' raw reads, one per iterate."""
     calls = collections.Counter()
 
     def tally(name, fn):
@@ -303,9 +325,20 @@ def counted(model):
             return fn(*args)
         return wrapped
 
+    search = solver.armijo_backtrack
+    monkeypatch.setattr(solver, "armijo_backtrack",
+                        lambda phi, *args: search(tally("trial", phi), *args))
+
     def ray(z, d):
-        phi = model.ray(z, d)
-        return lambda a, mu: tally("trial" if mu else "ray_raw", phi)(a, mu)
+        r = model.ray(z, d)
+        block = r.block
+
+        def rows(alphas, mu):
+            calls["row"] += len(alphas)
+            return block(alphas, mu)
+
+        r.block, r.raw = rows, tally("ray_raw", r.raw)
+        return r
 
     return model._replace(value=tally("value", model.value),
                           gradient=tally("gradient", model.gradient), ray=ray), calls
@@ -313,18 +346,18 @@ def counted(model):
 
 class TestSolveCounts:
     @pytest.mark.parametrize("route", ["erm", "ev"])
-    def test_counts_match_the_model_calls(self, route):
+    def test_counts_match_the_model_calls(self, route, monkeypatch):
         if route == "erm":
             problem = builtin_example("ex4_1")
             samples = generate(SamplerSpec("halton", count=20, dim=1), problem)
-            model, calls = counted(erm_model(problem, samples))
             x0 = [1.8, 0.4]
             solved = solve(problem, samples, x0)
+            model, calls = counted(erm_model(problem, samples), monkeypatch)
         else:
             inst = expected_instance(builtin_example("ex2_1"))
-            model, calls = counted(ev_model(inst))
             x0 = [0.5, -1.0, 2.0, 0.0]
             solved = ev_solve(inst, x0)
+            model, calls = counted(ev_model(inst), monkeypatch)
         cfg = SolverConfig()
         report = minimize_smoothed(model, x0, cfg)
         assert (solved.trials, solved.backtracks) == (report.trials, report.backtracks)
@@ -332,6 +365,8 @@ class TestSolveCounts:
         assert report.value_calls == calls["value"]
         assert report.gradient_calls == calls["gradient"]
         assert report.trials == calls["trial"]
+        # block rows evaluated past the accepted trial are not trials
+        assert report.trials < calls["row"]
         assert calls["ray_raw"] == report.iterations
         trace = report.trace
         assert len(report.backtracks) == report.iterations
@@ -345,13 +380,112 @@ class TestSolveCounts:
         assert report.value_calls == 1 + len(shrinks)
         assert report.gradient_calls == 1 + report.iterations + len(shrinks)
 
-    def test_failed_line_search_trials_are_counted(self):
+    def test_failed_line_search_trials_are_counted(self, monkeypatch):
         # the stiff scalar instance of test_line_search_failure_reported
         problem = StochasticProblem([[100.0]], [], [0.0], [])
         samples = SampleSet(np.zeros((1, 0)), np.ones(1))
-        model, calls = counted(erm_model(problem, samples))
+        model, calls = counted(erm_model(problem, samples), monkeypatch)
         report = minimize_smoothed(model, [1.0], SolverConfig(max_backtracks=2))
         assert report.status is SolveStatus.LINE_SEARCH_FAILURE
-        assert report.trials == calls["trial"] == 3
+        # the one block stops at the search's last step
+        assert report.trials == calls["trial"] == calls["row"] == 3
         assert report.backtracks == [] and report.mu_shrinks == []
         assert (report.value_calls, report.gradient_calls) == (1, 1)
+
+
+def random_model(route, rng, n, m):
+    """A dense random instance of either route: erm over a few uniform
+    samples, ev over a few weighted scenarios."""
+    A = [rng.uniform(-2.0, 2.0, (n, n)) for _ in range(m + 1)]
+    b = [rng.uniform(-2.0, 2.0, n) for _ in range(m + 1)]
+    if route == "erm":
+        N = int(rng.integers(1, 20))
+        samples = SampleSet(rng.uniform(0.0, 1.0, (N, m)), np.ones(N))
+        return erm_model(StochasticProblem(A[0], A[1:], b[0], b[1:]), samples)
+    k = int(rng.integers(1, 6))
+    probs = rng.uniform(0.1, 1.0, k)
+    scenarios = FiniteScenarios(rng.uniform(-1.0, 2.0, (k, m)), probs / probs.sum())
+    return ev_model(expected_instance(StochasticProblem(A[0], A[1:], b[0], b[1:], scenarios)))
+
+
+def bits(value):
+    return struct.pack("<d", value)
+
+
+def compare_searches(model, x, d, mu, f0, slope, cfg, size):
+    """armijo_backtrack fed one trial at a time by the scalar ray, and fed
+    from blocks of size rows: both must accept the same step with a bitwise
+    equal value and consume the same trials, or both fail after the same
+    trials.  Returns the block search."""
+    oracle = model.ray(x, d)
+    scalar_trials = []
+
+    def scalar(alpha):
+        scalar_trials.append(alpha)
+        return oracle(alpha, mu)
+
+    ray = model.ray(x, d)
+    ray.size = size  # any block size, whatever the cost rule picks
+    search = _BlockSearch(ray, [cfg.rho_backtrack**j for j in range(cfg.max_backtracks + 1)], mu)
+    outcomes = []
+    for phi in (scalar, search):
+        try:
+            alpha, x_new, f_new = armijo_backtrack(phi, x, d, f0, slope, cfg)
+            outcomes.append((alpha, x_new.tobytes(), bits(f_new)))
+        except LineSearchError:
+            outcomes.append(None)
+    assert outcomes[0] == outcomes[1]
+    assert search.trials == len(scalar_trials)
+    if outcomes[0] is not None:
+        # the raw value read off the accepted row is the scalar ray's
+        assert bits(search.raw()) == bits(oracle(outcomes[0][0], 0.0))
+    return search
+
+
+class TestBlockSearch:
+    """armijo_backtrack fed from blocks of the ray against armijo_backtrack
+    over the scalar ray, its oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(route=st.sampled_from(["erm", "ev"]), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(1, 6), m=st.integers(0, 2), size=st.integers(1, 12),
+           shift=st.one_of(st.integers(-4, 40), st.integers(600, 700)),
+           max_backtracks=st.integers(1, 40))
+    def test_random_instances(self, route, seed, n, m, size, shift, max_backtracks):
+        # 2**shift scales the direction: the search accepts later, or never
+        # and past every finite trial
+        rng = np.random.default_rng(seed)
+        model = random_model(route, rng, n, m)
+        x = rng.uniform(-2.0, 2.0, n)
+        mu = 10.0 ** rng.uniform(-6, -1)
+        g = model.gradient(x, mu)
+        d = -(2.0**shift) * g
+        cfg = SolverConfig(max_backtracks=max_backtracks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            compare_searches(model, x, d, mu, model.value(x, mu), float(g @ d), cfg, size)
+
+    # f = z^2 at mu = 0 on either route.  From z = 1 along d = -2**(s + 1),
+    # trial j is accepted exactly when j >= s + 1, so the search accepts
+    # trial s + 1 and no earlier one
+    @pytest.mark.parametrize("route", ["erm", "ev"])
+    @pytest.mark.parametrize("size, s, max_backtracks, accepted", [
+        (5, 3, 60, 4),  # the last row of the first block, J - 1
+        (5, 4, 60, 5),  # the first row of the second block, J
+        (5, 20, 7, None),  # fails after 8 trials, blocks of 5 and 3
+        (5, 600, 700, 601),  # the first 90 trials overflow to inf
+    ])
+    def test_quadratic(self, route, size, s, max_backtracks, accepted):
+        problem, samples = quadratic_1d_problem()
+        model = (erm_model(problem, samples) if route == "erm"
+                 else ev_model(expected_instance(problem)))
+        x, d = np.ones(1), np.array([-(2.0 ** (s + 1))])
+        cfg = SolverConfig(max_backtracks=max_backtracks)
+        slope = float(model.gradient(x, 0.0) @ d)
+        with np.errstate(over="ignore"):
+            assert math.isfinite(model.ray(x, d)(1.0, 0.0)) == (s != 600)
+            search = compare_searches(model, x, d, 0.0, model.value(x, 0.0), slope, cfg, size)
+        if accepted is None:
+            assert search.trials == max_backtracks + 1
+            assert len(search.values) == (max_backtracks + 1) % size
+        else:
+            assert search.trials == accepted + 1
