@@ -36,7 +36,10 @@ evaluates a block of trials, several steps alpha, in one set of numpy calls
 over a leading block axis that each value formula takes, summing each row's
 squares with one BLAS dot so that a row is bitwise the trial alone; a fixed
 cost rule caps the block by the lift's size.  The mu = 0 value at a step is
-read off its stored block row.
+read off its stored block row.  A route may also give its ray a floor, a
+lower bound on a trial read off part of the lift, by which a search along a
+single-trial ray rejects most trials unevaluated: ev's ray does, over the
+expected row of its lift (ev._EvRay).
 
 All operations are pure functions of their inputs; problem and sample objects
 are treated as read-only after construction, so they are safe to share across
@@ -163,6 +166,8 @@ class StochasticProblem:
         A_base = _finite_array(self.A_base, "A_base")
         if A_base.ndim != 2 or A_base.shape[0] != A_base.shape[1]:
             raise ValueError(f"A_base must be square, got shape {A_base.shape}")
+        if A_base.shape[0] < 1:
+            raise ValueError(f"A_base must be at least 1 x 1, got shape {A_base.shape}")
         n = A_base.shape[0]
         b_base = _check_vector(_finite_array(self.b_base, "b_base"), n, "b_base")
         A_terms = [
@@ -452,7 +457,14 @@ class _Ray:
     axis, at most size of them, and keeps their rows, so that raw reads the
     mu = 0 value of any of its trials with no second pass along the ray.
     A block of one is the 2-D evaluation of the oracle.
+
+    floor is None here.  A route's ray may instead define floor(alpha, mu),
+    a lower bound on the trial at alpha as computed; a search along a ray
+    of size 1 then rejects a trial whose floor already fails its test
+    without evaluating a block (solver._BlockSearch).
     """
+
+    floor = None
 
     def __init__(self, problem, W, value, x, d):
         self.Y = W @ _affine_rows(problem, x, 0.0)

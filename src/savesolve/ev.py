@@ -25,6 +25,15 @@ residual rows R, and no per-scenario matrix is ever formed.  U is this
 route's lift of the rows: _ev_value reads the whole objective off U L(x),
 and core's one ray evaluates each line-search trial from U L(x) and
 U (_A d), formed once per iteration.
+
+The value is 0.5 * (head + tail_G + tail_H).  The head, the squared phi of
+the expected row 0, is the only part that depends on mu; the tails, the
+squared negative parts of the scenario rows, are nonnegative.  So 0.5 *
+head bounds the computed value from below, and ev's ray, _EvRay, reads it
+off row 0 alone.  Its lift has k + 1 rows, so a large one takes one trial
+per block, and the line search then rejects a trial whose floor already
+fails the Armijo test without summing the scenario rows; the raw value of
+the accepted trial reuses that trial's tails.
 """
 
 from __future__ import annotations
@@ -167,15 +176,69 @@ def ev_objective(inst: EvInstance, x, mu: float) -> float:
 
 def _ev_value(Y, z, mu):
     """ev_objective at z over its lifted rows Y = U L(z), whose constraint
-    rows are Y + z and Y - z.  Y and z may carry a leading block axis of
-    trial points, and then the value is one per trial."""
+    rows are Y + z and Y - z: 0.5 * (head + tail_G + tail_H), the head over
+    row 0 and the tails over the scenario rows.  Y and z may carry a leading
+    block axis of trial points, and then the value is one per trial."""
+    tail_G, tail_H = _ev_tails(Y[..., 1:, :], z)
+    return 0.5 * (_ev_head(Y[..., 0, :], z, mu) + tail_G + tail_H)
+
+
+def _ev_head(Y0, z, mu):
+    """vdot(phi, phi) of the expected row at z, over its lifted row Y0: the
+    only part of ev's value that depends on mu."""
+    return _sumsq(smoothed_fb(Y0 + z, Y0 - z, mu), z.ndim == 2)
+
+
+def _ev_tails(Ys, z):
+    """(tail_G, tail_H), the vdot of min(0, .) of the scenario constraint
+    rows Ys + z and Ys - z over their lifted rows Ys: nonnegative, or NaN."""
     block = z.ndim == 2
     z = z[..., None, :]
-    G, H = Y + z, Y - z
-    phi = smoothed_fb(G[..., 0, :], H[..., 0, :], mu)
-    slack_G = np.minimum(0.0, G[..., 1:, :])
-    slack_H = np.minimum(0.0, H[..., 1:, :])
-    return 0.5 * (_sumsq(phi, block) + _sumsq(slack_G, block) + _sumsq(slack_H, block))
+    return _sumsq(np.minimum(0.0, Ys + z), block), _sumsq(np.minimum(0.0, Ys - z), block)
+
+
+class _EvRay(_Ray):
+    """core's ray over ev's lift U, with ev's value split into its parts.
+
+    The tails are nonnegative and rounding is monotone, so 0.5 * head is a
+    lower bound on the computed trial value: floor(alpha, mu) reads it off
+    row 0 of the lift alone, O(n) where the trial is O(k n).  A one-step
+    block reuses the head of a floor taken at the same step and mu, and raw
+    adds the head at mu = 0 to the tails that block summed, kept as two
+    floats in the formula's order, so every value is bitwise the scalar
+    ray's.  Blocks of several steps are core's.
+    """
+
+    def __init__(self, inst, x, d):
+        super().__init__(inst.problem, inst._U, _ev_value, x, d)
+        self.head = None  # (alpha, mu, row 0, point, head) of the last floor
+        self.last = None  # (row 0, point, tail_G, tail_H) of a one-step block
+
+    def floor(self, alpha, mu):
+        """0.5 * head at x + alpha d: at most f(x + alpha d, mu) as computed."""
+        z = self.x + alpha * self.d
+        row = self.Y[0] + alpha * self.Q[0]
+        head = _ev_head(row, z, mu)
+        self.head = (alpha, mu, row, z, head)
+        return 0.5 * head
+
+    def block(self, alphas, mu):
+        if len(alphas) > 1:
+            self.last = None
+            return super().block(alphas, mu)
+        alpha = alphas[0]
+        if self.head is None or self.head[:2] != (alpha, mu):
+            self.floor(alpha, mu)
+        _, _, row, z, head = self.head
+        tail_G, tail_H = _ev_tails(self.Y[1:] + alpha * self.Q[1:], z)
+        self.last = (row, z, tail_G, tail_H)
+        return [0.5 * (head + tail_G + tail_H)]
+
+    def raw(self, i):
+        if self.last is None:
+            return super().raw(i)
+        row, z, tail_G, tail_H = self.last
+        return 0.5 * (_ev_head(row, z, 0.0) + tail_G + tail_H)
 
 
 def ev_gradient(inst: EvInstance, x, mu: float) -> np.ndarray:
@@ -222,7 +285,7 @@ def ev_solve(inst: EvInstance, x0, cfg: SolverConfig | None = None) -> SolveRepo
         lambda z, mu: ev_objective(inst, z, mu),
         lambda z, mu: ev_gradient(inst, z, mu),
         lambda z: ev_objective(inst, z, 0.0),
-        lambda z, d: _Ray(inst.problem, inst._U, _ev_value, z, d),
+        lambda z, d: _EvRay(inst, z, d),
     )
     return minimize_smoothed(model, x0, cfg)
 

@@ -13,8 +13,10 @@ objective.  One outer iteration:
      shared affine rows the model forms once (no n x n product per trial).
      The trials come in blocks of consecutive steps, each block one set of
      numpy calls, and a block is evaluated only when the search reaches it;
-     the new iterate's unsmoothed value is read off the accepted trial's
-     row of its block at mu = 0;
+     along a ray of one trial per block whose model bounds a trial from
+     below (ev's floor, 0.5 * ||Phi_mu||^2), a trial whose bound already
+     fails the test is rejected unevaluated; the new iterate's unsmoothed
+     value is read off the accepted trial's row of its block at mu = 0;
   4. shrink mu_{k+1} = sigma * mu_k when ||grad f(x_{k+1}, mu_k)|| falls
      below gamma_bar * mu_k, otherwise keep mu_{k+1} = mu_k.
 
@@ -125,8 +127,9 @@ class SolveReport:
     value_calls and gradient_calls count the model's value and gradient
     calls, trials the trials the line searches consumed (a failed search's
     included; rows of a block evaluated past the accepted trial are not
-    trials), backtracks[k - 1] the rejected trials of iteration k, and
-    mu_shrinks the iterations k that ended with mu shrunk.
+    trials), screened those of them rejected on the ray's floor alone,
+    backtracks[k - 1] the rejected trials of iteration k, and mu_shrinks
+    the iterations k that ended with mu shrunk.
     """
 
     x_final: np.ndarray
@@ -139,6 +142,7 @@ class SolveReport:
     value_calls: int
     gradient_calls: int
     trials: int
+    screened: int
     backtracks: list[int]
     mu_shrinks: list[int]
 
@@ -154,7 +158,11 @@ class SmoothedModel(NamedTuple):
     unsmoothed f(x, 0).  ray(x, d) returns a ray along d, as core._Ray: its
     block(alphas, mu) is the list of f(x + alpha d, mu) over the steps
     alphas, at most ray.size of them, and raw(i) is f(x + alphas[i] d, 0)
-    for the last block.  A ray may fix once whatever its trials share.
+    for the last block.  A ray may fix once whatever its trials share.  A
+    ray may also have floor(alpha, mu), at most f(x + alpha d, mu) as
+    block computes it; a search along a ray of size 1 with a floor rejects
+    each trial whose floor fails the Armijo test without evaluating a block,
+    as ev._EvRay does.
     """
 
     value: Callable[[np.ndarray, float], float]
@@ -194,19 +202,33 @@ class _BlockSearch:
     """phi for armijo_backtrack along a ray: its j-th call returns the trial
     at steps[j], the search's j-th step, from the block of at most ray.size
     steps that holds it.  The next block is evaluated only when the search
-    runs past the last one; trials counts the calls, the trials consumed."""
+    runs past the last one; trials counts the calls, the trials consumed.
 
-    def __init__(self, ray, steps, mu):
+    A ray of size 1 with a floor screens each trial: when the floor already
+    fails armijo_backtrack's test, with the same f0, slope and delta, the
+    exact value would fail it too, so the call returns the floor and
+    evaluates no block.  screened counts those trials, which trials includes.
+    """
+
+    def __init__(self, ray, steps, mu, f0, slope, delta):
         self.ray, self.steps, self.mu = ray, steps, mu
-        self.trials = self.first = 0
+        self.f0, self.slope, self.delta = f0, slope, delta
+        self.screens = ray.size == 1 and getattr(ray, "floor", None) is not None
+        self.trials = self.first = self.screened = 0
         self.values = []
 
     def __call__(self, alpha):
         j = self.trials
-        if j - self.first == len(self.values):
+        self.trials += 1
+        if self.screens:
+            floor = self.ray.floor(alpha, self.mu)
+            if not floor - self.f0 <= self.delta * alpha * self.slope:
+                self.screened += 1
+                return floor
+        # past the last block, or past a screened trial, which made none
+        if j - self.first >= len(self.values):
             self.first = j
             self.values = self.ray.block(self.steps[j:j + self.ray.size], self.mu)
-        self.trials += 1
         return self.values[j - self.first]
 
     def raw(self):
@@ -226,10 +248,11 @@ def minimize_smoothed(
     The line search takes its trials from blocks of the ray: a block holds
     the next ray.size steps of the search (fewer when the search ends
     sooner), and the next block is evaluated only when the search runs past
-    it.  The unsmoothed value, reported alongside the smoothed one in the
-    trace and the final report, is model.raw at the start and after it the
-    ray's raw value of the accepted trial's row.  A non-finite x0 is a
-    ValueError.
+    it; along a ray of size 1 with a floor, a trial whose floor fails the
+    test is rejected without one.  The unsmoothed value, reported alongside
+    the smoothed one in the trace and the final report, is model.raw at the
+    start and after it the ray's raw value of the accepted trial's row.  A
+    non-finite x0 is a ValueError.
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x0, dtype=float).ravel().copy()
@@ -241,7 +264,7 @@ def minimize_smoothed(
     g = model.gradient(x, mu)
     gn = float(np.linalg.norm(g))
     value_calls = gradient_calls = 1
-    trials = 0
+    trials = screened = 0
     backtracks, mu_shrinks = [], []
 
     # armijo_backtrack's steps, by its own formula
@@ -259,14 +282,16 @@ def minimize_smoothed(
             status = SolveStatus.ITERATION_CAP
             break
         d = -g
-        search = _BlockSearch(model.ray(x, d), steps, mu)
+        slope = float(g @ d)
+        search = _BlockSearch(model.ray(x, d), steps, mu, f_cur, slope, cfg.delta)
         try:
-            alpha, x_new, f_new = armijo_backtrack(search, x, d, f_cur, float(g @ d), cfg)
+            alpha, x_new, f_new = armijo_backtrack(search, x, d, f_cur, slope, cfg)
         except LineSearchError:
             status = SolveStatus.LINE_SEARCH_FAILURE
             break
         finally:
             trials += search.trials
+            screened += search.screened
         backtracks.append(search.trials - 1)
         g_new = model.gradient(x_new, mu)
         gradient_calls += 1
@@ -296,6 +321,7 @@ def minimize_smoothed(
         value_calls=value_calls,
         gradient_calls=gradient_calls,
         trials=trials,
+        screened=screened,
         backtracks=backtracks,
         mu_shrinks=mu_shrinks,
     )

@@ -334,6 +334,10 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="A_base must be square"):
             StochasticProblem(np.ones((2, 3)), [], np.zeros(2), [])
 
+    def test_empty_problem_rejected(self):
+        with pytest.raises(ValueError, match="A_base must be at least 1 x 1"):
+            StochasticProblem(np.zeros((0, 0)), [], np.zeros(0), [])
+
     def test_distribution_validated(self):
         args = (np.eye(2), [np.eye(2)], np.zeros(2), [np.ones(2)])
         with pytest.raises(ValueError, match="dimension 2, expected 1"):

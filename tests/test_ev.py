@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,7 @@ from savesolve import (
     verify_glcp,
     verify_save,
 )
-from savesolve.core import _Ray
-from savesolve.ev import _ev_value
+from savesolve.ev import _EvRay
 
 EX2_1_STARTS = [
     (2.5127, -2.4490, 0.0596, 1.9908),
@@ -327,7 +328,7 @@ class TestEvRay:
         d = 10.0**d_exp * rng.uniform(-1.0, 1.0, n)
         alpha = 0.5**j
         mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
-        ray = _Ray(inst.problem, inst._U, _ev_value, x, d)
+        ray = _EvRay(inst, x, d)
         got = ray(alpha, mu)
         z = x + alpha * d
         value, value_scale, _, _ = direct_ev(inst.problem, z, mu)
@@ -345,12 +346,44 @@ class TestEvRay:
         x = rng.uniform(-3, 3, size=n)
         d = 10.0**d_exp * rng.uniform(-1.0, 1.0, n)
         mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
-        ray = _Ray(inst.problem, inst._U, _ev_value, x, d)
+        ray = _EvRay(inst, x, d)
         alphas = [0.5**i for i in range(j, j + size)]
         values = ray.block(alphas, mu)
         assert np.array(values).tobytes() == np.array([ray(a, mu) for a in alphas]).tobytes()
         for i, alpha in enumerate(alphas):
             assert ray.raw(i) == ray(alpha, 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 64), m=st.integers(0, 2),
+           extra=st.integers(0, 8), feasible=st.booleans(), raw=st.booleans(),
+           shift=st.one_of(st.integers(-20, 40), st.integers(600, 700)))
+    def test_floor_is_a_lower_bound(self, seed, n, m, extra, feasible, raw, shift):
+        # lifts of more than 2048 entries, whose rays take one trial per
+        # block and screen them; a feasible instance has every scenario row
+        # positive near x, so its tails are exactly zero and the floor is
+        # the whole value, and 2**shift up to 2**700 scales the direction
+        # until trials overflow to inf or NaN
+        rng = np.random.default_rng(seed)
+        problem = random_finite_problem(rng, n, m, 2048 // n + extra)
+        if feasible:
+            problem = StochasticProblem(problem.A_base, problem.A_terms, problem.b_base - 1e5,
+                                        problem.b_terms, problem.distribution)
+        inst = expected_instance(problem)
+        x = rng.uniform(-3, 3, size=n)
+        d = 2.0**shift * rng.uniform(-1.0, 1.0, n)
+        mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
+        ray = _EvRay(inst, x, d)
+        assert ray.size == 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(0, 61, 3):
+                alpha = 0.5**j
+                floor, value = ray.floor(alpha, mu), ray(alpha, mu)
+                assert floor <= value or math.isnan(value)
+                assert math.isnan(value) or not math.isnan(floor)
+                # the one-step block reuses the floor's head, and raw the
+                # block's tails: both bitwise the scalar ray
+                assert np.float64(ray.block([alpha], mu)[0]).tobytes() == np.float64(value).tobytes()
+                assert np.float64(ray.raw(0)).tobytes() == np.float64(ray(alpha, 0.0)).tobytes()
 
 
 class TestSlackElimination:

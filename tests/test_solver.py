@@ -26,7 +26,7 @@ from savesolve import (
 )
 from savesolve import solver
 from savesolve.core import FiniteScenarios, _erm_value, _Ray
-from savesolve.ev import _ev_value, ev_gradient, ev_objective, ev_solve, expected_instance
+from savesolve.ev import _EvRay, ev_gradient, ev_objective, ev_solve, expected_instance
 from savesolve.solver import _BlockSearch
 
 
@@ -309,14 +309,28 @@ def ev_model(inst):
         lambda z, mu: ev_objective(inst, z, mu),
         lambda z, mu: ev_gradient(inst, z, mu),
         lambda z: ev_objective(inst, z, 0.0),
-        lambda z, d: _Ray(inst.problem, inst._U, _ev_value, z, d),
+        lambda z, d: _EvRay(inst, z, d),
     )
+
+
+def scenario_instance(n, k, seed):
+    """A diagonally dominant tridiagonal ev instance with k scenarios, all
+    solved by all-ones, and a start: its lift has (k + 1) x n entries."""
+    rng = np.random.default_rng(seed)
+    A0 = np.diag(rng.uniform(0.5, 1.5, n - 1), 1) + np.diag(rng.uniform(0.5, 1.5, n - 1), -1)
+    A0 += np.diag(2.0 + np.abs(A0).sum(axis=1))
+    A1 = np.diag(rng.uniform(0.5, 1.5, n))
+    ones = np.ones(n)
+    probs = rng.uniform(0.5, 1.5, k)
+    scenarios = FiniteScenarios(rng.uniform(0.0, 2.0, k), probs / probs.sum())
+    problem = StochasticProblem(A0, [A1], A0 @ ones - ones, [A1 @ ones], scenarios)
+    return expected_instance(problem), rng.uniform(0.0, 2.0, n)
 
 
 def counted(model, monkeypatch):
     """model with its calls tallied: the trials the line searches consumed,
     as solver's armijo_backtrack calls them, the rows of the blocks the rays
-    evaluated, and the rays' raw reads, one per iterate."""
+    evaluated, the rays' raw reads, one per iterate, and their floors."""
     calls = collections.Counter()
 
     def tally(name, fn):
@@ -338,6 +352,8 @@ def counted(model, monkeypatch):
             return block(alphas, mu)
 
         r.block, r.raw = rows, tally("ray_raw", r.raw)
+        if r.floor is not None:
+            r.floor = tally("floor", r.floor)
         return r
 
     return model._replace(value=tally("value", model.value),
@@ -362,6 +378,8 @@ class TestSolveCounts:
         report = minimize_smoothed(model, x0, cfg)
         assert (solved.trials, solved.backtracks) == (report.trials, report.backtracks)
         assert report.status is SolveStatus.CONVERGED
+        # blocks of several rows: no trial is screened
+        assert solved.screened == report.screened == calls["floor"] == 0
         assert report.value_calls == calls["value"]
         assert report.gradient_calls == calls["gradient"]
         assert report.trials == calls["trial"]
@@ -380,6 +398,23 @@ class TestSolveCounts:
         assert report.value_calls == 1 + len(shrinks)
         assert report.gradient_calls == 1 + report.iterations + len(shrinks)
 
+    def test_single_trial_ev_rays_screen_trials(self, monkeypatch):
+        # a lift of 41 x 60 entries: one trial per block, each screened by
+        # the ray's floor before its scenario rows are summed
+        inst, x0 = scenario_instance(60, 40, 7)
+        solved = ev_solve(inst, x0)
+        model, calls = counted(ev_model(inst), monkeypatch)
+        report = minimize_smoothed(model, x0)
+        assert report.status is SolveStatus.CONVERGED
+        assert (solved.trials, solved.screened, solved.backtracks) == (
+            report.trials, report.screened, report.backtracks)
+        assert report.trials == calls["trial"] == calls["floor"]
+        # a screened trial evaluates no block row, and no row is wasted
+        assert 0 < report.screened < report.trials
+        assert calls["row"] == report.trials - report.screened
+        assert calls["ray_raw"] == report.iterations
+        assert sum(report.backtracks) + report.iterations == report.trials
+
     def test_failed_line_search_trials_are_counted(self, monkeypatch):
         # the stiff scalar instance of test_line_search_failure_reported
         problem = StochasticProblem([[100.0]], [], [0.0], [])
@@ -389,20 +424,21 @@ class TestSolveCounts:
         assert report.status is SolveStatus.LINE_SEARCH_FAILURE
         # the one block stops at the search's last step
         assert report.trials == calls["trial"] == calls["row"] == 3
+        assert report.screened == 0
         assert report.backtracks == [] and report.mu_shrinks == []
         assert (report.value_calls, report.gradient_calls) == (1, 1)
 
 
-def random_model(route, rng, n, m):
+def random_model(route, rng, n, m, k=None):
     """A dense random instance of either route: erm over a few uniform
-    samples, ev over a few weighted scenarios."""
+    samples, ev over k weighted scenarios, a few unless given."""
     A = [rng.uniform(-2.0, 2.0, (n, n)) for _ in range(m + 1)]
     b = [rng.uniform(-2.0, 2.0, n) for _ in range(m + 1)]
     if route == "erm":
         N = int(rng.integers(1, 20))
         samples = SampleSet(rng.uniform(0.0, 1.0, (N, m)), np.ones(N))
         return erm_model(StochasticProblem(A[0], A[1:], b[0], b[1:]), samples)
-    k = int(rng.integers(1, 6))
+    k = int(rng.integers(1, 6)) if k is None else k
     probs = rng.uniform(0.1, 1.0, k)
     scenarios = FiniteScenarios(rng.uniform(-1.0, 2.0, (k, m)), probs / probs.sum())
     return ev_model(expected_instance(StochasticProblem(A[0], A[1:], b[0], b[1:], scenarios)))
@@ -414,9 +450,10 @@ def bits(value):
 
 def compare_searches(model, x, d, mu, f0, slope, cfg, size):
     """armijo_backtrack fed one trial at a time by the scalar ray, and fed
-    from blocks of size rows: both must accept the same step with a bitwise
-    equal value and consume the same trials, or both fail after the same
-    trials.  Returns the block search."""
+    from blocks of size rows, screened when size is 1 and the ray has a
+    floor: both must accept the same step with a bitwise equal value and
+    consume the same trials, or both fail after the same trials.  Returns
+    the block search."""
     oracle = model.ray(x, d)
     scalar_trials = []
 
@@ -426,7 +463,8 @@ def compare_searches(model, x, d, mu, f0, slope, cfg, size):
 
     ray = model.ray(x, d)
     ray.size = size  # any block size, whatever the cost rule picks
-    search = _BlockSearch(ray, [cfg.rho_backtrack**j for j in range(cfg.max_backtracks + 1)], mu)
+    steps = [cfg.rho_backtrack**j for j in range(cfg.max_backtracks + 1)]
+    search = _BlockSearch(ray, steps, mu, f0, slope, cfg.delta)
     outcomes = []
     for phi in (scalar, search):
         try:
@@ -445,6 +483,25 @@ def compare_searches(model, x, d, mu, f0, slope, cfg, size):
 class TestBlockSearch:
     """armijo_backtrack fed from blocks of the ray against armijo_backtrack
     over the scalar ray, its oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 64), m=st.integers(0, 2),
+           extra=st.integers(0, 8), shift=st.one_of(st.integers(-24, 12), st.integers(600, 700)),
+           max_backtracks=st.integers(1, 60))
+    def test_screened_single_trial_rays(self, seed, n, m, extra, shift, max_backtracks):
+        # ev lifts of more than 2048 entries take one trial per block, and
+        # the search screens each by the ray's floor; about half of these
+        # searches fail, all past 2**600
+        rng = np.random.default_rng(seed)
+        model = random_model("ev", rng, n, m, k=2048 // n + extra)
+        x = rng.uniform(-2.0, 2.0, n)
+        mu = 10.0 ** rng.uniform(-6, -1)
+        g = model.gradient(x, mu)
+        d = -(2.0**shift) * g
+        cfg = SolverConfig(max_backtracks=max_backtracks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            search = compare_searches(model, x, d, mu, model.value(x, mu), float(g @ d), cfg, 1)
+        assert search.screens and model.ray(x, d).size == 1
 
     @settings(max_examples=200, deadline=None)
     @given(route=st.sampled_from(["erm", "ev"]), seed=st.integers(0, 2**32 - 1),
