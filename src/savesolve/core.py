@@ -36,10 +36,10 @@ evaluates a block of trials, several steps alpha, in one set of numpy calls
 over a leading block axis that each value formula takes, summing each row's
 squares with one BLAS dot so that a row is bitwise the trial alone; a fixed
 cost rule caps the block by the lift's size.  The mu = 0 value at a step is
-read off its stored block row.  A route may also give its ray a floor, a
-lower bound on a trial read off part of the lift, by which a search along a
-single-trial ray rejects most trials unevaluated: ev's ray does, over the
-expected row of its lift (ev._EvRay).
+read off its stored block row.  The search hands each block its Armijo
+test, so a route's ray may reject a trial on a lower bound read off part of
+the lift, unevaluated: ev's ray does, over the expected row of its lift
+(ev._EvRay).
 
 All operations are pure functions of their inputs; problem and sample objects
 are treated as read-only after construction, so they are safe to share across
@@ -456,15 +456,12 @@ class _Ray:
     trials at several steps in one set of numpy calls over a leading block
     axis, at most size of them, and keeps their rows, so that raw reads the
     mu = 0 value of any of its trials with no second pass along the ray.
-    A block of one is the 2-D evaluation of the oracle.
-
-    floor is None here.  A route's ray may instead define floor(alpha, mu),
-    a lower bound on the trial at alpha as computed; a search along a ray
-    of size 1 then rejects a trial whose floor already fails its test
-    without evaluating a block (solver._BlockSearch).
+    block is handed the search's test, accepts(alpha, f), and evaluates
+    every trial all the same; a route's ray may use the test to reject a
+    trial on a lower bound, unevaluated, counted in screened (ev._EvRay).
     """
 
-    floor = None
+    screened = 0
 
     def __init__(self, problem, W, value, x, d):
         self.Y = W @ _affine_rows(problem, x, 0.0)
@@ -475,12 +472,8 @@ class _Ray:
     def __call__(self, alpha, mu):
         return self.value(self.Y + alpha * self.Q, self.x + alpha * self.d, mu)
 
-    def block(self, alphas, mu):
+    def block(self, alphas, mu, accepts):
         """[f(x + alpha d, mu) for alpha in alphas], bitwise the oracle's."""
-        if len(alphas) == 1:
-            self.rows = (self.Y + alphas[0] * self.Q)[None]
-            self.points = (self.x + alphas[0] * self.d)[None]
-            return [self.value(self.rows[0], self.points[0], mu)]
         a = np.array(alphas)
         self.rows = self.Y + a[:, None, None] * self.Q
         self.points = self.x + a[:, None] * self.d

@@ -31,9 +31,9 @@ the expected row 0, is the only part that depends on mu; the tails, the
 squared negative parts of the scenario rows, are nonnegative.  So 0.5 *
 head bounds the computed value from below, and ev's ray, _EvRay, reads it
 off row 0 alone.  Its lift has k + 1 rows, so a large one takes one trial
-per block, and the line search then rejects a trial whose floor already
-fails the Armijo test without summing the scenario rows; the raw value of
-the accepted trial reuses that trial's tails.
+per block, and a one-step block rejects a trial whose bound already fails
+the search's Armijo test without summing the scenario rows; the raw value
+of the accepted trial reuses that trial's tails.
 """
 
 from __future__ import annotations
@@ -200,36 +200,32 @@ def _ev_tails(Ys, z):
 class _EvRay(_Ray):
     """core's ray over ev's lift U, with ev's value split into its parts.
 
-    The tails are nonnegative and rounding is monotone, so 0.5 * head is a
-    lower bound on the computed trial value: floor(alpha, mu) reads it off
-    row 0 of the lift alone, O(n) where the trial is O(k n).  A one-step
-    block reuses the head of a floor taken at the same step and mu, and raw
-    adds the head at mu = 0 to the tails that block summed, kept as two
-    floats in the formula's order, so every value is bitwise the scalar
-    ray's.  Blocks of several steps are core's.
+    The tails are nonnegative and rounding is monotone, so 0.5 * head, read
+    off row 0 of the lift alone in O(n) where the trial is O(k n), is a
+    lower bound on the computed trial value.  A one-step block computes the
+    head first; when the search's test already rejects 0.5 * head, it
+    returns that bound, counted in screened, and sums no scenario row.
+    Otherwise it adds the tails, and raw adds the head at mu = 0 to them,
+    kept as two floats in the formula's order, so every value is bitwise
+    the scalar ray's.  Blocks of several steps are core's.
     """
 
     def __init__(self, inst, x, d):
         super().__init__(inst.problem, inst._U, _ev_value, x, d)
-        self.head = None  # (alpha, mu, row 0, point, head) of the last floor
+        self.screened = 0
         self.last = None  # (row 0, point, tail_G, tail_H) of a one-step block
 
-    def floor(self, alpha, mu):
-        """0.5 * head at x + alpha d: at most f(x + alpha d, mu) as computed."""
+    def block(self, alphas, mu, accepts):
+        if len(alphas) > 1:
+            self.last = None
+            return super().block(alphas, mu, accepts)
+        alpha = alphas[0]
         z = self.x + alpha * self.d
         row = self.Y[0] + alpha * self.Q[0]
         head = _ev_head(row, z, mu)
-        self.head = (alpha, mu, row, z, head)
-        return 0.5 * head
-
-    def block(self, alphas, mu):
-        if len(alphas) > 1:
-            self.last = None
-            return super().block(alphas, mu)
-        alpha = alphas[0]
-        if self.head is None or self.head[:2] != (alpha, mu):
-            self.floor(alpha, mu)
-        _, _, row, z, head = self.head
+        if not accepts(alpha, 0.5 * head):
+            self.screened += 1
+            return [0.5 * head]
         tail_G, tail_H = _ev_tails(self.Y[1:] + alpha * self.Q[1:], z)
         self.last = (row, z, tail_G, tail_H)
         return [0.5 * (head + tail_G + tail_H)]

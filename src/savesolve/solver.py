@@ -8,15 +8,15 @@ objective.  One outer iteration:
   2. take the steepest-descent direction d_k = -grad f(x_k, mu_k);
   3. accept the largest step alpha = rho^j, j = 0, 1, ..., with
          f(x_k + alpha d_k, mu_k) - f(x_k, mu_k)
-             <= delta * alpha * grad f(x_k, mu_k)^T d_k,
+             <= delta * alpha * grad f(x_k, mu_k)^T d_k < 0,
      each trial evaluated along the ray alpha -> x_k + alpha d_k, whose
      shared affine rows the model forms once (no n x n product per trial).
      The trials come in blocks of consecutive steps, each block one set of
      numpy calls, and a block is evaluated only when the search reaches it;
-     along a ray of one trial per block whose model bounds a trial from
-     below (ev's floor, 0.5 * ||Phi_mu||^2), a trial whose bound already
-     fails the test is rejected unevaluated; the new iterate's unsmoothed
-     value is read off the accepted trial's row of its block at mu = 0;
+     the ray is handed the test, so a ray that bounds a trial from below
+     (ev's, by 0.5 * ||Phi_mu||^2) can reject it unevaluated; the new
+     iterate's unsmoothed value is read off the accepted trial's row of its
+     block at mu = 0;
   4. shrink mu_{k+1} = sigma * mu_k when ||grad f(x_{k+1}, mu_k)|| falls
      below gamma_bar * mu_k, otherwise keep mu_{k+1} = mu_k.
 
@@ -127,7 +127,7 @@ class SolveReport:
     value_calls and gradient_calls count the model's value and gradient
     calls, trials the trials the line searches consumed (a failed search's
     included; rows of a block evaluated past the accepted trial are not
-    trials), screened those of them rejected on the ray's floor alone,
+    trials), screened those of them rejected on a lower bound alone,
     backtracks[k - 1] the rejected trials of iteration k, and mu_shrinks
     the iterations k that ended with mu shrunk.
     """
@@ -156,13 +156,13 @@ class SmoothedModel(NamedTuple):
 
     value(x, mu) is f, gradient(x, mu) its gradient in x and raw(x) the
     unsmoothed f(x, 0).  ray(x, d) returns a ray along d, as core._Ray: its
-    block(alphas, mu) is the list of f(x + alpha d, mu) over the steps
-    alphas, at most ray.size of them, and raw(i) is f(x + alphas[i] d, 0)
-    for the last block.  A ray may fix once whatever its trials share.  A
-    ray may also have floor(alpha, mu), at most f(x + alpha d, mu) as
-    block computes it; a search along a ray of size 1 with a floor rejects
-    each trial whose floor fails the Armijo test without evaluating a block,
-    as ev._EvRay does.
+    block(alphas, mu, accepts) is the list of f(x + alpha d, mu) over the
+    steps alphas, at most ray.size of them, where accepts(alpha, f) is the
+    search's Armijo test, and raw(i) is f(x + alphas[i] d, 0) for a row of
+    the last block that the test accepted.  A ray may fix once whatever its
+    trials share.  A block may also return, in place of a trial's value, a
+    lower bound on it that the test already rejects, unevaluated, and
+    count that trial in ray.screened, as ev._EvRay does.
     """
 
     value: Callable[[np.ndarray, float], float]
@@ -172,68 +172,38 @@ class SmoothedModel(NamedTuple):
 
 
 def armijo_backtrack(
-    phi: Callable[[float], float],
-    x: np.ndarray,
-    d: np.ndarray,
+    ray: _Ray,
+    mu: float,
     f0: float,
     slope: float,
     cfg: SolverConfig,
-) -> tuple[float, np.ndarray, float]:
-    """Largest alpha = rho^j, j <= max_backtracks, with sufficient decrease.
+) -> tuple[int, float, float, float]:
+    """Largest alpha = rho^j, j <= max_backtracks, with sufficient decrease
+    along a ray (SmoothedModel's protocol) at mu.
 
-    phi(alpha) is f(x + alpha d); slope is grad^T d at x and must be negative
-    (d a descent direction).
-    Returns (alpha, accepted point, objective there); raises LineSearchError
-    when every trial fails.
+    f0 is the value at the ray's start and slope the directional derivative
+    there, which must be negative.  The test f - f0 <= delta * alpha *
+    slope also asks for a negative bound, so a step too small to decrease f
+    is never accepted.  The steps go to ray.block at most ray.size at a
+    time, and the next block only when the search runs past the last.
+    Returns (j, alpha, f there, raw f there); raises LineSearchError when
+    every trial fails.
     """
     if not slope < 0.0:
         raise ValueError(f"d is not a descent direction (grad^T d = {slope!r})")
-    for j in range(cfg.max_backtracks + 1):
-        alpha = cfg.rho_backtrack**j
-        f_new = phi(alpha)
-        if f_new - f0 <= cfg.delta * alpha * slope:
-            return alpha, x + alpha * d, f_new
+    rho, delta, stop = cfg.rho_backtrack, cfg.delta, cfg.max_backtracks + 1
+
+    def accepts(alpha, f):
+        return f - f0 <= delta * alpha * slope < 0.0
+
+    for first in range(0, stop, ray.size):
+        alphas = [rho**j for j in range(first, min(first + ray.size, stop))]
+        for i, f in enumerate(ray.block(alphas, mu, accepts)):
+            if accepts(alphas[i], f):
+                return first + i, alphas[i], f, ray.raw(i)
     raise LineSearchError(
         f"no sufficient decrease within {cfg.max_backtracks} backtracks"
     )
-
-
-class _BlockSearch:
-    """phi for armijo_backtrack along a ray: its j-th call returns the trial
-    at steps[j], the search's j-th step, from the block of at most ray.size
-    steps that holds it.  The next block is evaluated only when the search
-    runs past the last one; trials counts the calls, the trials consumed.
-
-    A ray of size 1 with a floor screens each trial: when the floor already
-    fails armijo_backtrack's test, with the same f0, slope and delta, the
-    exact value would fail it too, so the call returns the floor and
-    evaluates no block.  screened counts those trials, which trials includes.
-    """
-
-    def __init__(self, ray, steps, mu, f0, slope, delta):
-        self.ray, self.steps, self.mu = ray, steps, mu
-        self.f0, self.slope, self.delta = f0, slope, delta
-        self.screens = ray.size == 1 and getattr(ray, "floor", None) is not None
-        self.trials = self.first = self.screened = 0
-        self.values = []
-
-    def __call__(self, alpha):
-        j = self.trials
-        self.trials += 1
-        if self.screens:
-            floor = self.ray.floor(alpha, self.mu)
-            if not floor - self.f0 <= self.delta * alpha * self.slope:
-                self.screened += 1
-                return floor
-        # past the last block, or past a screened trial, which made none
-        if j - self.first >= len(self.values):
-            self.first = j
-            self.values = self.ray.block(self.steps[j:j + self.ray.size], self.mu)
-        return self.values[j - self.first]
-
-    def raw(self):
-        """f at the last trial's step with mu = 0, read off its block row."""
-        return self.ray.raw(self.trials - 1 - self.first)
 
 
 # the non_finite status reports what numpy's overflow warnings would
@@ -245,14 +215,11 @@ def minimize_smoothed(
 ) -> SolveReport:
     """Run the smoothing gradient method on a model's family f(x, mu).
 
-    The line search takes its trials from blocks of the ray: a block holds
-    the next ray.size steps of the search (fewer when the search ends
-    sooner), and the next block is evaluated only when the search runs past
-    it; along a ray of size 1 with a floor, a trial whose floor fails the
-    test is rejected without one.  The unsmoothed value, reported alongside
-    the smoothed one in the trace and the final report, is model.raw at the
-    start and after it the ray's raw value of the accepted trial's row.  A
-    non-finite x0 is a ValueError.
+    Each iteration's line search is one armijo_backtrack call along
+    model.ray.  The unsmoothed value, reported alongside the smoothed one in
+    the trace and the final report, is model.raw at the start and after it
+    the ray's raw value of the accepted trial's row.  A non-finite x0 is a
+    ValueError.
     """
     cfg = cfg or SolverConfig()
     x = np.asarray(x0, dtype=float).ravel().copy()
@@ -267,8 +234,6 @@ def minimize_smoothed(
     trials = screened = 0
     backtracks, mu_shrinks = [], []
 
-    # armijo_backtrack's steps, by its own formula
-    steps = [cfg.rho_backtrack**j for j in range(cfg.max_backtracks + 1)]
     trace = [Iterate(0, x, f_cur, model.raw(x), gn, mu, 0.0)]
     k = 0
     while True:
@@ -283,20 +248,21 @@ def minimize_smoothed(
             break
         d = -g
         slope = float(g @ d)
-        search = _BlockSearch(model.ray(x, d), steps, mu, f_cur, slope, cfg.delta)
+        ray = model.ray(x, d)
+        j = cfg.max_backtracks  # a failed search consumed every trial
         try:
-            alpha, x_new, f_new = armijo_backtrack(search, x, d, f_cur, slope, cfg)
+            j, alpha, f_new, raw = armijo_backtrack(ray, mu, f_cur, slope, cfg)
         except LineSearchError:
             status = SolveStatus.LINE_SEARCH_FAILURE
             break
         finally:
-            trials += search.trials
-            screened += search.screened
-        backtracks.append(search.trials - 1)
-        g_new = model.gradient(x_new, mu)
+            trials += j + 1
+            screened += ray.screened
+        backtracks.append(j)
+        x = x + alpha * d
+        g_new = model.gradient(x, mu)
         gradient_calls += 1
         gn_new = float(np.linalg.norm(g_new))
-        x = x_new
         k += 1
         if gn_new >= cfg.gamma_bar * mu:
             f_cur, g, gn = f_new, g_new, gn_new
@@ -308,7 +274,7 @@ def minimize_smoothed(
             value_calls += 1
             gradient_calls += 1
             gn = float(np.linalg.norm(g))
-        trace.append(Iterate(k, x, f_cur, search.raw(), gn, mu, alpha))
+        trace.append(Iterate(k, x, f_cur, raw, gn, mu, alpha))
 
     return SolveReport(
         x_final=x,

@@ -629,6 +629,7 @@ class TestErmRay:
 
     @settings(max_examples=200, deadline=None)
     @given(**sampled_shapes, **ray_steps, size=st.integers(1, 12))
+    @example(seed=1, n=3, m=1, N=4, near=False, j=0, d_exp=0.0, raw=False, size=1)
     def test_block_rows_are_the_scalar_ray(self, seed, n, m, N, near, j, d_exp, raw, size):
         rng = np.random.default_rng(seed)
         problem, samples, x = random_sampled_problem(rng, n, m, N, near)
@@ -637,7 +638,7 @@ class TestErmRay:
         F = samples._factor
         ray = _Ray(problem, F, functools.partial(_erm_value, F[:, :1]), x, d)
         alphas = [0.5**i for i in range(j, j + size)]
-        values = ray.block(alphas, mu)
+        values = ray.block(alphas, mu, lambda alpha, f: True)
         assert np.array(values).tobytes() == np.array([ray(a, mu) for a in alphas]).tobytes()
         for i, alpha in enumerate(alphas):
             assert ray.raw(i) == ray(alpha, 0.0)

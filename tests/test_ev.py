@@ -38,6 +38,14 @@ EX2_1_STARTS = [
 ]
 
 
+def accept_all(alpha, f):
+    return True
+
+
+def reject_all(alpha, f):
+    return False
+
+
 def random_finite_problem(rng, n, m, k):
     """A dense affine instance with k weighted scenarios of dimension m."""
     omegas = rng.uniform(-1.0, 2.0, (k, m))
@@ -348,7 +356,7 @@ class TestEvRay:
         mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
         ray = _EvRay(inst, x, d)
         alphas = [0.5**i for i in range(j, j + size)]
-        values = ray.block(alphas, mu)
+        values = ray.block(alphas, mu, accept_all)
         assert np.array(values).tobytes() == np.array([ray(a, mu) for a in alphas]).tobytes()
         for i, alpha in enumerate(alphas):
             assert ray.raw(i) == ray(alpha, 0.0)
@@ -375,15 +383,19 @@ class TestEvRay:
         ray = _EvRay(inst, x, d)
         assert ray.size == 1
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(0, 61, 3):
+            for i, j in enumerate(range(0, 61, 3)):
                 alpha = 0.5**j
-                floor, value = ray.floor(alpha, mu), ray(alpha, mu)
+                # a test that rejects every value gets the floor back
+                (floor,) = ray.block([alpha], mu, reject_all)
+                assert ray.screened == i + 1
+                value = ray(alpha, mu)
                 assert floor <= value or math.isnan(value)
                 assert math.isnan(value) or not math.isnan(floor)
-                # the one-step block reuses the floor's head, and raw the
-                # block's tails: both bitwise the scalar ray
-                assert np.float64(ray.block([alpha], mu)[0]).tobytes() == np.float64(value).tobytes()
+                # one that accepts it gets the value, and raw the value at
+                # mu = 0 off the block's tails: both bitwise the scalar ray
+                assert np.float64(ray.block([alpha], mu, accept_all)[0]).tobytes() == np.float64(value).tobytes()
                 assert np.float64(ray.raw(0)).tobytes() == np.float64(ray(alpha, 0.0)).tobytes()
+                assert ray.screened == i + 1
 
 
 class TestSlackElimination:
