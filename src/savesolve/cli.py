@@ -141,7 +141,10 @@ def _load_problem(args):
         if args.n is not None:
             raise ValueError("--n applies only to --example ex4_4, not to --problem-file")
         return load_problem_file(args.problem_file)
-    return builtin_example(args.example, n=args.n), None, None
+    try:
+        return builtin_example(args.example, n=args.n), None, None
+    except MemoryError as exc:  # a dimension too large to allocate
+        raise ValueError(f"--n: {exc}") from None
 
 
 def _override(base, **flags):
@@ -177,7 +180,6 @@ def _cmd_run(args) -> int:
         )
     example_id = args.example or args.problem_file
     records = []
-    last_report = None
     for count in counts:
         try:
             record, report = run_experiment(
@@ -191,7 +193,9 @@ def _cmd_run(args) -> int:
         except MemoryError as exc:  # a sample set too large to allocate
             raise ValueError(f"{'--N' if args.N else 'sampler count'}: {exc}") from None
         records.append(record)
-        last_report = report
+        # a report holds its O(iterations n) trace: keep only the one --trace writes
+        last_report = report if args.trace else None
+        del report
     print(emit_table(records, "aligned"), end="")
     for record in records:
         note = " (expected-value reduction on a uniform problem)" if record.ev_on_uniform else ""
@@ -220,21 +224,25 @@ def _cmd_verify(args) -> int:
     else:
         omegas = [np.zeros(problem.m)]
     all_ok = True
-    for omega in omegas:
-        res_norm = float(np.linalg.norm(residual(problem, x, omega)))
-        ok_save = verify_save(problem, x, omega, tol)
-        ok_glcp = verify_glcp(eval_A(problem, omega), eval_b(problem, omega), x, tol)
-        all_ok &= ok_save and ok_glcp
-        label = ",".join(f"{c:g}" for c in omega)
-        print(
-            f"omega=({label}) residual_norm={res_norm:.3e} "
-            f"save={'ok' if ok_save else 'FAIL'} glcp={'ok' if ok_glcp else 'FAIL'}"
-        )
-    if args.ev:
-        inst = expected_instance(problem)
-        ok_ev = verify_glcp(inst.A_bar, inst.b_bar, x, tol)
-        all_ok &= ok_ev
-        print(f"expected matrices glcp={'ok' if ok_ev else 'FAIL'}")
+    try:
+        for omega in omegas:
+            res_norm = float(np.linalg.norm(residual(problem, x, omega)))
+            ok_save = verify_save(problem, x, omega, tol)
+            ok_glcp = verify_glcp(eval_A(problem, omega), eval_b(problem, omega), x, tol)
+            all_ok &= ok_save and ok_glcp
+            label = ",".join(f"{c:g}" for c in omega)
+            print(
+                f"omega=({label}) residual_norm={res_norm:.3e} "
+                f"save={'ok' if ok_save else 'FAIL'} glcp={'ok' if ok_glcp else 'FAIL'}"
+            )
+        if args.ev:
+            inst = expected_instance(problem)
+            ok_ev = verify_glcp(inst.A_bar, inst.b_bar, x, tol)
+            all_ok &= ok_ev
+            print(f"expected matrices glcp={'ok' if ok_ev else 'FAIL'}")
+    except MemoryError as exc:  # the checks read dense n x n matrices
+        flag = "--n" if args.n is not None else "--problem-file"
+        raise ValueError(f"{flag}: {exc}") from None
     return EXIT_OK if all_ok else 1
 
 

@@ -13,7 +13,7 @@ by replacing |x| with smooth_abs(x, mu) = sqrt(x^2 + mu), together with the
 exact Jacobian and gradient of the smoothed residual.  smooth_abs is the one
 home of that rule for both routes, and _check_kink the one test for its kink.
 
-A problem stores the family as two read-only stacks over u = [1; w]: A(w) is
+A problem holds the family as two read-only stacks over u = [1; w]: A(w) is
 sum_j u_j _A[j] and b(w) is sum_j u_j _b[j], with row 0 the base.  Every
 affine quantity is one contraction with u.  The residual at w is u^T R, where
 R = _A x - _b with psi taken off row 0 holds the (m + 1) x n affine rows at x,
@@ -26,6 +26,14 @@ n >= 151; a diagonal stack is a band of width one.  So objective and
 gradient calls cost O(m w n + m^2 n) for band width w, O(m n^2 + m^2 n)
 dense, whatever the sample count.  eval_A, residual and smoothed_jacobian
 stay dense: they are the oracles.
+
+A problem given dense matrices stores the dense stack _A, and the band
+beside it where the rule picks one.  A problem given its diagonals
+(StochasticProblem.from_diagonals, as ex4_4 is built) stores the band alone
+where the rule picks it, O(m w n) memory from build to report, and builds
+the dense _A, A_base and A_terms read-only on each read, uncached: only the
+oracles and problem_to_dict read them.  Below the rule it stores the dense
+stack, bitwise the one the same matrices give the dense constructor.
 
 Each route values a lift W L(x) of the rows L(x) = _A x - _b: erm lifts with
 the moment factor F (F^T F = M) and ev with its points U = [1, points].  L is
@@ -49,7 +57,7 @@ concurrent solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,71 +156,133 @@ class FiniteScenarios:
         return self.probs.size
 
 
-@dataclass(eq=False)
 class StochasticProblem:
     """Affine-in-w coefficient family plus the distribution of w.
 
     A_terms and b_terms must each have m entries; m = 0 gives a deterministic
     equation.  Shapes and finiteness are validated on construction.
+    from_diagonals builds the family from its slices' diagonals instead.
+
+    The coefficients are stored once, read-only, never in the caller's
+    arrays: b as the stack _b, A as the dense stack, or, for a problem built
+    from diagonals whose band the cost rule picks, as that _Band alone.
+    A_base and A_terms are views of the dense stack; a band-only problem
+    builds them on each read, O(m n^2), uncached, so the problem stays
+    read-only after construction.
     """
 
-    A_base: np.ndarray
-    A_terms: list[np.ndarray]
-    b_base: np.ndarray
-    b_terms: list[np.ndarray]
-    distribution: UniformBox | FiniteScenarios = field(default_factory=UniformBox)
-
-    def __post_init__(self):
-        A_base = _finite_array(self.A_base, "A_base")
+    def __init__(self, A_base, A_terms, b_base, b_terms, distribution=UniformBox()):
+        A_base = _finite_array(A_base, "A_base")
         if A_base.ndim != 2 or A_base.shape[0] != A_base.shape[1]:
             raise ValueError(f"A_base must be square, got shape {A_base.shape}")
         if A_base.shape[0] < 1:
             raise ValueError(f"A_base must be at least 1 x 1, got shape {A_base.shape}")
         n = A_base.shape[0]
-        b_base = _check_vector(_finite_array(self.b_base, "b_base"), n, "b_base")
-        A_terms = [
-            _finite_array(t, f"A_terms[{j}]") for j, t in enumerate(self.A_terms)
-        ]
+        b_base = _check_vector(_finite_array(b_base, "b_base"), n, "b_base")
+        A_terms = [_finite_array(t, f"A_terms[{j}]") for j, t in enumerate(A_terms)]
         for j, term in enumerate(A_terms):
             if term.shape != (n, n):
                 raise ValueError(
                     f"A_terms[{j}] has shape {term.shape}, expected ({n}, {n})"
                 )
+        self._store_rhs(b_base, b_terms, len(A_terms), distribution)
+        self._dense = np.stack([A_base, *A_terms])
+        # read-only, so that no write reaches the stack and misses the band
+        self._dense.flags.writeable = False
+        self._band = _Band.of(self._dense)
+
+    @classmethod
+    def from_diagonals(cls, offsets, diagonals, b_base, b_terms,
+                       distribution=UniformBox()) -> StochasticProblem:
+        """The problem whose slice j (A_base, then the A_terms) is zero but
+        for its diagonals diagonals[j][t], the entries (i, i + offsets[t]),
+        each of length n - |offsets[t]|, with n the length of b_base.
+
+        Offsets are distinct integers in (-n, n).  When the cost rule picks
+        the band, no n x n array is formed; otherwise the dense stack is,
+        bitwise the one the same matrices give the dense constructor.
+        """
+        b_base = _finite_array(b_base, "b_base").ravel()
+        n = b_base.size
+        if n < 1:
+            raise ValueError("b_base must have at least one entry")
+        offsets = list(offsets)
+        for off in offsets:
+            _check_int(off, "a diagonal offset", 1 - n)
+            if off >= n:
+                raise ValueError(f"a diagonal offset must be below {n}, got {off!r}")
+        offsets = [int(off) for off in offsets]
+        if len(set(offsets)) != len(offsets):
+            raise ValueError(f"diagonal offsets must be distinct, got {offsets}")
+        if len(diagonals) < 1:
+            raise ValueError("diagonals must hold at least the base slice")
+        for j, slice_diagonals in enumerate(diagonals):
+            if len(slice_diagonals) != len(offsets):
+                raise ValueError(
+                    f"diagonals[{j}] has {len(slice_diagonals)} diagonals "
+                    f"for {len(offsets)} offsets"
+                )
+        diags = {
+            off: np.stack([
+                _check_vector(_finite_array(d[t], f"diagonals[{j}][{t}]"),
+                              n - abs(off), f"diagonals[{j}][{t}]")
+                for j, d in enumerate(diagonals)
+            ])
+            for t, off in enumerate(offsets)
+        }
+        problem = cls.__new__(cls)
+        problem._store_rhs(b_base, b_terms, len(diagonals) - 1, distribution)
+        count = len(diagonals)
+        problem._band = _Band.of_diagonals(count, n, diags)
+        problem._dense = _stack_of(count, n, diags) if problem._band is None else None
+        return problem
+
+    def _store_rhs(self, b_base, b_terms, m, distribution):
+        """Validate b_terms and the distribution against m terms of A, then
+        store the b stack and the distribution."""
+        n = b_base.size
         b_terms = [
             _check_vector(_finite_array(t, f"b_terms[{j}]"), n, f"b_terms[{j}]")
-            for j, t in enumerate(self.b_terms)
+            for j, t in enumerate(b_terms)
         ]
-        if len(A_terms) != len(b_terms):
-            raise ValueError(
-                f"{len(A_terms)} A_terms but {len(b_terms)} b_terms"
-            )
-        m = len(A_terms)
-        if isinstance(self.distribution, FiniteScenarios):
-            if self.distribution.omegas.shape[1] != m:
+        if m != len(b_terms):
+            raise ValueError(f"{m} A_terms but {len(b_terms)} b_terms")
+        if isinstance(distribution, FiniteScenarios):
+            if distribution.omegas.shape[1] != m:
                 raise ValueError(
                     f"scenario points have dimension "
-                    f"{self.distribution.omegas.shape[1]}, expected {m}"
+                    f"{distribution.omegas.shape[1]}, expected {m}"
                 )
-        elif not isinstance(self.distribution, UniformBox):
+        elif not isinstance(distribution, UniformBox):
             raise ValueError("distribution must be UniformBox or FiniteScenarios")
-        # the public fields are views of the stack rows, so each coefficient
-        # is stored once, and never in the caller's array
-        self._A = np.stack([A_base, *A_terms])
+        self.distribution = distribution
         self._b = np.stack([b_base, *b_terms])
-        self._band = _Band.of(self._A)
-        # read-only, so that no write reaches the stack and misses the band
-        self._A.flags.writeable = self._b.flags.writeable = False
-        self.A_base, self.b_base = self._A[0], self._b[0]
-        self.A_terms = list(self._A[1:])
-        self.b_terms = list(self._b[1:])
+        self._b.flags.writeable = False
+        self.b_base, self.b_terms = self._b[0], list(self._b[1:])
+
+    @property
+    def _A(self) -> np.ndarray:
+        """The read-only dense (m + 1) x n x n stack: the stored one, or one
+        built from the band on this read."""
+        if self._dense is not None:
+            return self._dense
+        return _stack_of(self.m + 1, self.n, self._band.diagonals())
+
+    @property
+    def A_base(self) -> np.ndarray:
+        return self._A[0]
+
+    @property
+    def A_terms(self) -> list[np.ndarray]:
+        return list(self._A[1:])
 
     @property
     def n(self) -> int:
-        return self._A.shape[1]
+        return self._b.shape[1]
 
     @property
     def m(self) -> int:
-        return self._A.shape[0] - 1
+        return self._b.shape[0] - 1
 
 
 @dataclass(eq=False)
@@ -272,29 +342,66 @@ class _Band:
     cols: np.ndarray
     row_index: np.ndarray
     col_index: np.ndarray
+    lower: int
 
     @classmethod
     def of(cls, A: np.ndarray) -> _Band | None:
-        """The band of the stack A, or None when dense products are cheaper."""
+        """The band of the dense stack A, or None when dense products are
+        cheaper: the diagonals that _bandwidths finds, given to of_diagonals."""
         count, n, _ = A.shape
-        # the cost rule: a band product beats the dense one below this width
-        max_width = (count * n * n - _BAND_FIXED) / (_BAND_ENTRY * count * n)
-        if max_width <= 1:
-            return None
-        lower, upper = _bandwidths(A, max_width)
+        lower, upper = _bandwidths(A, _max_band_width(count, n))
+        return cls.of_diagonals(
+            count, n, {off: np.diagonal(A, off, 1, 2) for off in range(-lower, upper + 1)}
+        )
+
+    @classmethod
+    def of_diagonals(cls, count: int, n: int, diagonals: dict) -> _Band | None:
+        """The band of the stack of count n x n slices that is zero but for
+        its diagonals {offset: (count, n - |offset|) array}, or None when
+        dense products are cheaper.  The band spans the nonzero diagonals
+        and offset 0."""
+        nonzero = [off for off, diag in diagonals.items() if diag.any()]
+        lower = max([0] + [-off for off in nonzero])
+        upper = max([0] + nonzero)
         width = lower + upper + 1
-        if width >= max_width:
+        if width >= _max_band_width(count, n):
             return None
         rows, cols = np.zeros((2, count, width, n))
-        for t, off in enumerate(range(-lower, upper + 1)):
-            # entry (i, i + off) of each slice, for i from first to first + size
-            first, size = max(0, -off), n - abs(off)
-            diag = np.diagonal(A, off, 1, 2)
-            rows[:, t, first:first + size] = diag
-            cols[:, t, first + off:first + off + size] = diag
+        for off, diag in diagonals.items():
+            if -lower <= off <= upper:
+                # entry (i, i + off) of each slice, for i from first to first + size
+                t, first, size = off + lower, max(0, -off), n - abs(off)
+                rows[:, t, first:first + size] = diag
+                cols[:, t, first + off:first + off + size] = diag
         offsets = np.arange(-lower, upper + 1)[:, None]
         i = np.arange(n)
-        return cls(rows, cols, np.clip(i + offsets, 0, n - 1), np.clip(i - offsets, 0, n - 1))
+        return cls(rows, cols, np.clip(i + offsets, 0, n - 1),
+                   np.clip(i - offsets, 0, n - 1), lower)
+
+    def diagonals(self) -> dict:
+        """{offset: (count, n - |offset|) array} over the band's offsets."""
+        n = self.rows.shape[2]
+        return {
+            t - self.lower: self.rows[:, t, max(0, self.lower - t):n - max(0, t - self.lower)]
+            for t in range(self.rows.shape[1])
+        }
+
+
+def _max_band_width(count: int, n: int) -> float:
+    """The cost rule: a band product of a stack of count n x n slices beats
+    the dense one below this width."""
+    return (count * n * n - _BAND_FIXED) / (_BAND_ENTRY * count * n)
+
+
+def _stack_of(count: int, n: int, diagonals: dict) -> np.ndarray:
+    """The read-only dense stack of count n x n slices that is zero but for
+    its diagonals {offset: (count, n - |offset|) array}."""
+    A = np.zeros((count, n, n))
+    for off, diag in diagonals.items():
+        i = np.arange(max(0, -off), n - max(0, off))
+        A[:, i, i + off] = diag
+    A.flags.writeable = False
+    return A
 
 
 def _bandwidths(A: np.ndarray, stop: float, chunk: int = 64) -> tuple[int, int]:
@@ -322,7 +429,7 @@ def _apply(problem, x):
     """The rows A_j x of the stack for each j, shape (m + 1, n): _A @ x."""
     band = problem._band
     if band is None:
-        return problem._A @ x
+        return problem._dense @ x
     return np.einsum("jti,ti->ji", band.rows, x.take(band.row_index))
 
 
@@ -330,7 +437,7 @@ def _apply_adjoint(problem, S):
     """sum_j A_j^T S_j over the rows S, shape (m + 1, n)."""
     band = problem._band
     if band is None:
-        return S.ravel() @ problem._A.reshape(-1, problem.n)
+        return S.ravel() @ problem._dense.reshape(-1, problem.n)
     return np.einsum("jtk,jtk->k", band.cols, S.take(band.col_index, axis=1))
 
 

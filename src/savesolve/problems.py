@@ -111,11 +111,15 @@ def builtin_example(example_id: str, n: int | None = None) -> StochasticProblem:
             raise ValueError("ex4_4 requires the dimension n")
         if n < 2:
             raise ValueError(f"ex4_4 needs n >= 2, got {n}")
-        off = np.ones(n - 1)
-        A0 = np.diag(np.full(n, 2.0)) + np.diag(off, 1) + np.diag(off, -1)
+        # the family _shifted builds, from its diagonals: no n x n array
+        # where the band is picked
+        off, zero = np.ones(n - 1), np.zeros(n - 1)
         b0 = np.full(n, 3.0)
         b0[0] = b0[-1] = 2.0
-        return _shifted(A0, b0)
+        return StochasticProblem.from_diagonals(
+            (-1, 0, 1), [(off, np.full(n, 2.0), off), (zero, np.ones(n), zero)],
+            b0, [np.ones(n)],
+        )
     raise ValueError(f"unknown example {example_id!r}; valid ids: {EXAMPLE_IDS}")
 
 

@@ -148,7 +148,12 @@ class SolveReport:
 
 
 class LineSearchError(RuntimeError):
-    """No backtracking step satisfied the sufficient-decrease condition."""
+    """No backtracking step satisfied the sufficient-decrease condition;
+    trials is the number of trials the search consumed."""
+
+    def __init__(self, message: str, trials: int):
+        super().__init__(message)
+        self.trials = trials
 
 
 class SmoothedModel(NamedTuple):
@@ -184,10 +189,12 @@ def armijo_backtrack(
     f0 is the value at the ray's start and slope the directional derivative
     there, which must be negative.  The test f - f0 <= delta * alpha *
     slope also asks for a negative bound, so a step too small to decrease f
-    is never accepted.  The steps go to ray.block at most ray.size at a
-    time, and the next block only when the search runs past the last.
-    Returns (j, alpha, f there, raw f there); raises LineSearchError when
-    every trial fails.
+    is never accepted.  The bound only shrinks toward zero as j grows, so
+    the search ends at the first step whose bound is not negative, with no
+    trial evaluated there or past it.  The steps go to ray.block at most
+    ray.size at a time, and the next block only when the search runs past
+    the last.  Returns (j, alpha, f there, raw f there); raises
+    LineSearchError when every trial fails.
     """
     if not slope < 0.0:
         raise ValueError(f"d is not a descent direction (grad^T d = {slope!r})")
@@ -198,11 +205,21 @@ def armijo_backtrack(
 
     for first in range(0, stop, ray.size):
         alphas = [rho**j for j in range(first, min(first + ray.size, stop))]
-        for i, f in enumerate(ray.block(alphas, mu, accepts)):
-            if accepts(alphas[i], f):
-                return first + i, alphas[i], f, ray.raw(i)
+        steps = len(alphas)
+        while alphas and not delta * alphas[-1] * slope < 0.0:
+            alphas.pop()
+        if alphas:
+            for i, f in enumerate(ray.block(alphas, mu, accepts)):
+                if accepts(alphas[i], f):
+                    return first + i, alphas[i], f, ray.raw(i)
+        if len(alphas) < steps:
+            j = first + len(alphas)
+            raise LineSearchError(
+                f"no sufficient decrease: the Armijo bound rounds to zero "
+                f"from backtrack {j} on", j,
+            )
     raise LineSearchError(
-        f"no sufficient decrease within {cfg.max_backtracks} backtracks"
+        f"no sufficient decrease within {cfg.max_backtracks} backtracks", stop
     )
 
 
@@ -249,15 +266,15 @@ def minimize_smoothed(
         d = -g
         slope = float(g @ d)
         ray = model.ray(x, d)
-        j = cfg.max_backtracks  # a failed search consumed every trial
         try:
             j, alpha, f_new, raw = armijo_backtrack(ray, mu, f_cur, slope, cfg)
-        except LineSearchError:
+        except LineSearchError as exc:
+            trials += exc.trials
+            screened += ray.screened
             status = SolveStatus.LINE_SEARCH_FAILURE
             break
-        finally:
-            trials += j + 1
-            screened += ray.screened
+        trials += j + 1
+        screened += ray.screened
         backtracks.append(j)
         x = x + alpha * d
         g_new = model.gradient(x, mu)

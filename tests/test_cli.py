@@ -5,10 +5,12 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from savesolve import StochasticProblem
 from savesolve.cli import build_parser, main
 from savesolve.problems import builtin_example, problem_to_dict
 
@@ -407,6 +409,52 @@ class TestRunCommand:
         assert captured.err.startswith("save-solve: error: --N:")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--N", "10"], ["verify", "--x", "1,1"],
+    ])
+    def test_unallocatable_dimension_exits_64(self, capsys, command):
+        # ex4_4's diagonals at n = 2**50 take 8 PiB each: the allocation
+        # fails at once, touching nothing
+        code = main([command[0], "--example", "ex4_4", "--n", str(2**50), *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err.startswith("save-solve: error: --n:")
+        assert "Traceback" not in captured.err
+
+    # ev on ex4_4 runs into the iteration cap, exit 2
+    @pytest.mark.parametrize("route, code", [
+        (["--N", "20"], 0), (["--route", "ev", "--max-iter", "200"], 2),
+    ])
+    def test_band_native_run_reads_no_dense_view(self, tmp_path, monkeypatch, capsys,
+                                                 route, code):
+        argv = ["run", "--example", "ex4_4", "--n", "300", "--x0-seed", "3", *route,
+                "--out", str(tmp_path / "table.csv")]
+        assert main(argv) == code
+        table = (tmp_path / "table.csv").read_bytes()
+
+        def dense_view(problem):
+            raise AssertionError("a dense view was read")
+
+        monkeypatch.setattr(StochasticProblem, "_A", property(dense_view))
+        assert main(argv) == code
+        assert (tmp_path / "table.csv").read_bytes() == table
+        assert "error" not in capsys.readouterr().err
+
+    def test_sweep_keeps_no_finished_report(self, capsys):
+        # each report holds an O(iterations n) trace, and the problem is
+        # O(n), so the sweep's peak is about one solve's
+        peaks = []
+        for counts in ("100", "100,100,100"):
+            tracemalloc.start()
+            try:
+                assert main(["run", "--example", "ex4_4", "--n", "2000", "--N", counts,
+                             "--x0-seed", "1"]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
     def test_solver_override_is_validated(self, capsys):
         code = main(["run", "--example", "ex4_1", "--rho", "1.5"])
         assert code == 64
@@ -454,6 +502,19 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_unallocatable_dense_view_exits_64(self, monkeypatch, capsys):
+        # verify reads n x n matrices, which a band-native problem builds
+        # on read; n = 300 stands in for a dimension too large for them
+        def dense_view(problem):
+            raise MemoryError("Unable to allocate the dense stack")
+
+        monkeypatch.setattr(StochasticProblem, "_A", property(dense_view))
+        code = main(["verify", "--example", "ex4_4", "--n", "300", "--x", ",".join(["1"] * 300)])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err == "save-solve: error: --n: Unable to allocate the dense stack\n"
 
 
 class TestOracleCommand:

@@ -34,6 +34,7 @@ from savesolve.core import (
     _Ray,
     _sumsq,
 )
+from savesolve.ev import _EvRay, ev_gradient, ev_objective, expected_instance
 from savesolve.problems import problem_from_dict
 
 
@@ -323,6 +324,130 @@ class TestBandStorage:
         A = builtin_example("ex4_4", n=300).A_base.copy()
         A[-1, -5] = 1.0
         assert StochasticProblem(A, [], np.zeros(300), [])._band.rows.shape == (1, 6, 300)
+
+
+def random_diagonals(rng, n, m):
+    """Distinct offsets in [-4, 4] and one diagonal per slice and offset,
+    as from_diagonals takes them; an offset is zero in every slice with
+    probability 1/3, which narrows the band when it is an outer one."""
+    offsets = [int(o) for o in rng.choice(np.arange(-4, 5), int(rng.integers(0, 6)), replace=False)]
+    kept = rng.random(len(offsets)) > 1 / 3
+    diagonals = [
+        [rng.uniform(-2.0, 2.0, n - abs(o)) if keep else np.zeros(n - abs(o))
+         for o, keep in zip(offsets, kept)]
+        for _ in range(m + 1)
+    ]
+    return offsets, diagonals
+
+
+def dense_of(n, offsets, slice_diagonals):
+    A = np.zeros((n, n))
+    for off, diag in zip(offsets, slice_diagonals):
+        A += np.diag(diag, off)
+    return A
+
+
+def trial_values(problem, samples, inst, x, d, mu):
+    """The values a solve reads off both routes at x along d: objectives,
+    gradients, and a block of ray trials of each route."""
+    F = samples._factor
+    alphas = [1.0, 0.5, 0.25]
+    accepts = lambda alpha, f: False
+    erm_ray = _Ray(problem, F, functools.partial(_erm_value, F[:, :1]), x, d)
+    ev_ray = _EvRay(inst, x, d)
+    return [
+        smoothed_objective(problem, samples, x, mu),
+        smoothed_gradient(problem, samples, x, mu),
+        ev_objective(inst, x, mu),
+        ev_gradient(inst, x, mu),
+        erm_ray.block(alphas, mu, accepts),
+        erm_ray.raw(1),
+        ev_ray.block(alphas, mu, accepts),
+        ev_ray.block([0.5], mu, accepts),
+    ]
+
+
+class TestDiagonalInput:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 300), m=st.integers(0, 3))
+    @example(seed=0, n=150, m=1)
+    @example(seed=0, n=151, m=1)
+    @example(seed=3, n=300, m=0)
+    def test_same_bits_as_dense_input(self, seed, n, m):
+        # on both sides of the cost rule: from n = 151 at m = 1 with three
+        # diagonals, from about n = 250 for four slices of nine
+        rng = np.random.default_rng(seed)
+        offsets, diagonals = random_diagonals(rng, n, m)
+        b = rng.uniform(-2.0, 2.0, (m + 1, n))
+        k = 3
+        probs = rng.uniform(0.5, 1.5, k)
+        dist = FiniteScenarios(rng.uniform(0.0, 1.0, (k, m)), probs / probs.sum())
+        native = StochasticProblem.from_diagonals(offsets, diagonals, b[0], list(b[1:]), dist)
+        dense = StochasticProblem(dense_of(n, offsets, diagonals[0]),
+                                  [dense_of(n, offsets, d) for d in diagonals[1:]],
+                                  b[0], list(b[1:]), dist)
+        assert (native.n, native.m) == (dense.n, dense.m) == (n, m)
+        assert native._b.tobytes() == dense._b.tobytes()
+        if dense._band is None:
+            assert native._band is None
+        else:
+            assert native._dense is None
+            for name in ("rows", "cols", "row_index", "col_index"):
+                assert getattr(native._band, name).tobytes() == getattr(dense._band, name).tobytes()
+        assert native._A.tobytes() == dense._A.tobytes()
+        assert native.A_base.tobytes() == dense.A_base.tobytes()
+        assert [t.tobytes() for t in native.A_terms] == [t.tobytes() for t in dense.A_terms]
+        samples = SampleSet(rng.uniform(0.0, 1.0, (7, m)), rng.uniform(0.5, 1.5, 7))
+        x, d = rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n)
+        mu = 10.0 ** rng.uniform(-6, -1)
+        got, want = (trial_values(p, samples, expected_instance(p), x, d, mu)
+                     for p in (native, dense))
+        assert [np.array(g).tobytes() for g in got] == [np.array(w).tobytes() for w in want]
+
+    def test_band_is_the_only_coefficient_storage(self):
+        problem = builtin_example("ex4_4", n=300)
+        assert problem._dense is None and problem._band is not None
+        A, again = problem.A_base, problem.A_base
+        # built on each read, never cached, and read-only
+        assert not np.shares_memory(A, again)
+        with pytest.raises(ValueError, match="read-only"):
+            A[0, 0] = 1.0
+        np.testing.assert_array_equal(problem.A_terms[0], np.eye(300))
+        assert (A[0, :2] == [2.0, 1.0]).all() and (A[-1, -2:] == [1.0, 2.0]).all()
+
+    def test_below_the_cost_rule_the_dense_stack_is_stored(self):
+        problem = builtin_example("ex4_4", n=150)
+        assert problem._band is None
+        assert problem.A_base.base is problem._dense
+
+    def test_building_ex4_4_takes_linear_memory(self):
+        # the dense stack at n = 10**5 would take 160 GB
+        n = 10**5
+        tracemalloc.start()
+        try:
+            problem = builtin_example("ex4_4", n=n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert problem._band.rows.shape == (2, 3, n)
+        assert peak < 400 * n
+
+    @pytest.mark.parametrize("args, match", [
+        (([0, 0], [[np.ones(3), np.ones(3)]], np.ones(3), []), "distinct"),
+        (([3], [[np.ones(0)]], np.ones(3), []), "below 3"),
+        (([-3], [[np.ones(0)]], np.ones(3), []), "at least -2"),
+        (([1.0], [[np.ones(2)]], np.ones(3), []), "integer"),
+        (([1], [[np.ones(3)]], np.ones(3), []), r"diagonals\[0\]\[0\] has length 3, expected 2"),
+        (([0], [[[1.0, np.inf, 1.0]]], np.ones(3), []), r"diagonals\[0\]\[0\] must be finite"),
+        (([0, 1], [[np.ones(3)]], np.ones(3), []), "1 diagonals for 2 offsets"),
+        (([0], [[np.ones(3)], [np.ones(3)]], np.ones(3), []), "1 A_terms but 0 b_terms"),
+        (([0], [], np.ones(3), []), "at least the base slice"),
+        (([], [[]], np.ones(0), []), "at least one entry"),
+        (([0], [[np.ones(3)]], [1.0, np.nan, 1.0], []), "b_base must be finite"),
+    ])
+    def test_validation(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            StochasticProblem.from_diagonals(*args)
 
 
 class TestProblemValidation:

@@ -142,13 +142,37 @@ class TestArmijo:
 
     def test_underflowed_bound_accepts_no_step(self):
         # a flat f: no step decreases it, but past j = 1073 the bound
-        # delta * alpha * slope rounds to -0.0, which f_new - f0 = 0 meets
+        # delta * alpha * slope rounds to -0.0, which f_new - f0 = 0 meets;
+        # the search ends there, with trials 0 to 1073 evaluated
         ray = PlainRay(lambda z, mu: 0.0, np.zeros(1), np.ones(1))
         cfg = SolverConfig(max_backtracks=1100)
         assert cfg.delta * cfg.rho_backtrack**1074 * -1.0 == 0.0
-        with pytest.raises(LineSearchError):
+        with pytest.raises(LineSearchError) as failed:
             armijo_backtrack(ray, 0.0, 0.0, -1.0, cfg)
-        assert len(ray.blocks) == 1101
+        assert len(ray.blocks) == failed.value.trials == 1074
+
+
+    @pytest.mark.parametrize("slope", [-1.7976931348623157e308, -1e300, -1.0, -1e-300,
+                                       -1e-320, -5e-324])
+    def test_bound_is_monotone_in_j(self, slope):
+        # the search stops at the first j whose bound is not negative: no
+        # later bound may be negative again
+        cfg = SolverConfig()
+        bounds = [cfg.delta * cfg.rho_backtrack**j * slope for j in range(2200)]
+        assert all(a <= b <= 0.0 for a, b in zip(bounds, bounds[1:]))
+        assert bounds[-1] == 0.0
+
+    def test_search_stops_at_the_first_zero_bound(self):
+        # blocks of five from j = 0: the bound 0.5 * 2**-j * -2**-1000 is
+        # negative up to j = 73, so the block from j = 70 is cut to four
+        # rows and no later block is formed
+        ray = PlainRay(lambda z, mu: 0.0, np.zeros(1), np.ones(1))
+        ray.size = 5
+        cfg = SolverConfig(max_backtracks=200)
+        with pytest.raises(LineSearchError, match="from backtrack 74") as failed:
+            armijo_backtrack(ray, 0.0, 0.0, -(2.0**-1000), cfg)
+        assert failed.value.trials == 74
+        assert [len(b) for b in ray.blocks] == [5] * 14 + [4]
 
 
 class TestSolve:
@@ -277,13 +301,13 @@ class TestSolve:
 
     def test_flat_model_ends_line_search_failure(self):
         # the underflowed Armijo bound of TestArmijo in a solve: the first
-        # search fails after every trial, with no step of 5e-324 taken
+        # search fails at the bound's underflow, with no step of 5e-324 taken
         f = lambda z, mu: 0.0
         model = SmoothedModel(f, lambda z, mu: np.ones_like(z), lambda z: f(z, 0.0),
                               lambda z, d: PlainRay(f, z, d))
         report = minimize_smoothed(model, [1.0, 2.0], SolverConfig(max_backtracks=1100, max_iter=5))
         assert report.status is SolveStatus.LINE_SEARCH_FAILURE
-        assert (report.iterations, report.trials, report.backtracks) == (0, 1101, [])
+        assert (report.iterations, report.trials, report.backtracks) == (0, 1074, [])
 
     def test_large_max_backtracks_costs_nothing_up_front(self):
         # steps are formed per block, not tabled up to max_backtracks
@@ -301,6 +325,24 @@ class TestSolve:
         assert report.trials == reference.trials
         # a table of 10**6 + 1 steps alone would take 32 MB
         assert peak < 1_000_000
+
+    def test_floor_stall_stops_at_the_bound_underflow(self):
+        # the ex4_1 stall at the floating-point floor: the last search's
+        # bound rounds to zero near j = 990, so any larger cap consumes
+        # the same trials and ends the same way
+        problem = builtin_example("ex4_1")
+        samples = generate(SamplerSpec("halton", count=100, dim=1), problem)
+        reports = [
+            solve(problem, samples, [0.5, 2.0],
+                  SolverConfig(epsilon=1e-14, max_backtracks=max_backtracks))
+            for max_backtracks in (60, 2000, 10**6)
+        ]
+        assert all(r.status is SolveStatus.LINE_SEARCH_FAILURE for r in reports)
+        assert len({r.x_final.tobytes() for r in reports}) == 1
+        assert reports[1].trials == reports[2].trials
+        # the failed search's trials: all 61 at the default cap
+        last = [r.trials - sum(r.backtracks) - r.iterations for r in reports]
+        assert last[0] == 61 and 900 < last[1] < 1075
 
     def test_deterministic(self):
         problem = builtin_example("ex4_1")
