@@ -27,13 +27,10 @@ gradient calls cost O(m w n + m^2 n) for band width w, O(m n^2 + m^2 n)
 dense, whatever the sample count.  eval_A, residual and smoothed_jacobian
 stay dense: they are the oracles.
 
-A problem given dense matrices stores the dense stack _A, and the band
-beside it where the rule picks one.  A problem given its diagonals
-(StochasticProblem.from_diagonals, as ex4_4 is built) stores the band alone
-where the rule picks it, O(m w n) memory from build to report, and builds
-the dense _A, A_base and A_terms read-only on each read, uncached: only the
-oracles and problem_to_dict read them.  Below the rule it stores the dense
-stack, bitwise the one the same matrices give the dense constructor.
+Whichever constructor built it, a problem stores A once: as the band where
+the rule picks it, else as the dense stack.  A banded problem builds the
+dense _A, A_base and A_terms read-only on each read, uncached: only the
+oracles and problem_to_dict read them.
 
 Each route values a lift W L(x) of the rows L(x) = _A x - _b: erm lifts with
 the moment factor F (F^T F = M) and ev with its points U = [1, points].  L is
@@ -164,11 +161,9 @@ class StochasticProblem:
     from_diagonals builds the family from its slices' diagonals instead.
 
     The coefficients are stored once, read-only, never in the caller's
-    arrays: b as the stack _b, A as the dense stack, or, for a problem built
-    from diagonals whose band the cost rule picks, as that _Band alone.
-    A_base and A_terms are views of the dense stack; a band-only problem
-    builds them on each read, O(m n^2), uncached, so the problem stays
-    read-only after construction.
+    arrays: b as the stack _b, A by the one rule of _store_A.  A_base and
+    A_terms are views of the dense stack, which a banded problem builds on
+    each read, O(m n^2), uncached, so it stays read-only after construction.
     """
 
     def __init__(self, A_base, A_terms, b_base, b_terms, distribution=UniformBox()):
@@ -186,10 +181,9 @@ class StochasticProblem:
                     f"A_terms[{j}] has shape {term.shape}, expected ({n}, {n})"
                 )
         self._store_rhs(b_base, b_terms, len(A_terms), distribution)
-        self._dense = np.stack([A_base, *A_terms])
-        # read-only, so that no write reaches the stack and misses the band
-        self._dense.flags.writeable = False
-        self._band = _Band.of(self._dense)
+        stack = np.stack([A_base, *A_terms])
+        stack.flags.writeable = False  # problems are shared across solves
+        self._store_A(_Band.of(stack), lambda: stack)
 
     @classmethod
     def from_diagonals(cls, offsets, diagonals, b_base, b_terms,
@@ -233,9 +227,14 @@ class StochasticProblem:
         problem = cls.__new__(cls)
         problem._store_rhs(b_base, b_terms, len(diagonals) - 1, distribution)
         count = len(diagonals)
-        problem._band = _Band.of_diagonals(count, n, diags)
-        problem._dense = _stack_of(count, n, diags) if problem._band is None else None
+        problem._store_A(_Band.of_diagonals(count, n, diags), lambda: _stack_of(count, n, diags))
         return problem
+
+    def _store_A(self, band, dense):
+        """The one storage rule for A: the band where the cost rule picked
+        one, else the read-only dense stack that dense() builds."""
+        self._band = band
+        self._dense = dense() if band is None else None
 
     def _store_rhs(self, b_base, b_terms, m, distribution):
         """Validate b_terms and the distribution against m terms of A, then
@@ -262,8 +261,8 @@ class StochasticProblem:
 
     @property
     def _A(self) -> np.ndarray:
-        """The read-only dense (m + 1) x n x n stack: the stored one, or one
-        built from the band on this read."""
+        """The read-only dense (m + 1) x n x n stack: the stored one, or, for
+        a banded problem, one built from the band on this read."""
         if self._dense is not None:
             return self._dense
         return _stack_of(self.m + 1, self.n, self._band.diagonals())
@@ -328,6 +327,8 @@ class SampleSet:
 # three diagonals) takes the band from n = 151 on
 _BAND_FIXED = 40_000
 _BAND_ENTRY = 6
+# _bandwidths reads a dense stack this many rows at a time
+_SCAN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -404,16 +405,16 @@ def _stack_of(count: int, n: int, diagonals: dict) -> np.ndarray:
     return A
 
 
-def _bandwidths(A: np.ndarray, stop: float, chunk: int = 64) -> tuple[int, int]:
+def _bandwidths(A: np.ndarray, stop: float) -> tuple[int, int]:
     """(lower, upper): the largest i - j and j - i over the nonzeros
-    A_s[i, j] of every slice, found chunk rows at a time, so that the
-    nonzero pattern takes O(chunk n) memory, not O(n^2).  The scan ends
-    early once lower + upper + 1 reaches stop."""
+    A_s[i, j] of every slice, found _SCAN_ROWS rows at a time, so that the
+    nonzero pattern takes O(n) memory, not O(n^2).  The scan ends early
+    once lower + upper + 1 reaches stop."""
     n = A.shape[-1]
     rows = A.reshape(-1, n)
     lower = upper = 0
-    for start in range(0, rows.shape[0], chunk):
-        nz = rows[start:start + chunk] != 0
+    for start in range(0, rows.shape[0], _SCAN_ROWS):
+        nz = rows[start:start + _SCAN_ROWS] != 0
         i = np.arange(start, start + nz.shape[0]) % n
         found = nz.any(axis=1)
         first = nz.argmax(axis=1)
@@ -559,10 +560,10 @@ class _Ray:
     z, so W L at x + alpha d is Y + alpha Q, with Y = W L(x) formed fresh at
     x and Q = W (_A d).
 
-    Called with one step, the ray is the scalar oracle.  block evaluates the
-    trials at several steps in one set of numpy calls over a leading block
-    axis, at most size of them, and keeps their rows, so that raw reads the
-    mu = 0 value of any of its trials with no second pass along the ray.
+    block evaluates the trials at several steps in one set of numpy calls
+    over a leading block axis, at most size of them, and keeps their rows,
+    so that raw reads the mu = 0 value of any of its trials with no second
+    pass along the ray.
     block is handed the search's test, accepts(alpha, f), and evaluates
     every trial all the same; a route's ray may use the test to reject a
     trial on a lower bound, unevaluated, counted in screened (ev._EvRay).
@@ -576,11 +577,8 @@ class _Ray:
         self.x, self.d, self.value = x, d, value
         self.size = max(1, min(_BLOCK_TRIALS, _BLOCK_ENTRIES // self.Y.size))
 
-    def __call__(self, alpha, mu):
-        return self.value(self.Y + alpha * self.Q, self.x + alpha * self.d, mu)
-
     def block(self, alphas, mu, accepts):
-        """[f(x + alpha d, mu) for alpha in alphas], bitwise the oracle's."""
+        """[f(x + alpha d, mu) for alpha in alphas], each row bitwise its trial alone."""
         a = np.array(alphas)
         self.rows = self.Y + a[:, None, None] * self.Q
         self.points = self.x + a[:, None] * self.d

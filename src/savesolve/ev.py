@@ -207,7 +207,7 @@ class _EvRay(_Ray):
     returns that bound, counted in screened, and sums no scenario row.
     Otherwise it adds the tails, and raw adds the head at mu = 0 to them,
     kept as two floats in the formula's order, so every value is bitwise
-    the scalar ray's.  Blocks of several steps are core's.
+    _ev_value's at the trial.  Blocks of several steps are core's.
     """
 
     def __init__(self, inst, x, d):

@@ -228,11 +228,12 @@ def problem_to_dict(problem: StochasticProblem) -> dict:
         }
     else:
         dist = {"kind": "uniform_box"}
+    A = problem._A  # a banded problem builds it on each read
     return {
         "n": problem.n,
         "m": problem.m,
-        "A_base": problem.A_base.tolist(),
-        "A_terms": [t.tolist() for t in problem.A_terms],
+        "A_base": A[0].tolist(),
+        "A_terms": [t.tolist() for t in A[1:]],
         "b_base": problem.b_base.tolist(),
         "b_terms": [t.tolist() for t in problem.b_terms],
         "distribution": dist,

@@ -8,11 +8,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from savesolve import StochasticProblem
 from savesolve.cli import build_parser, main
 from savesolve.problems import builtin_example, problem_to_dict
+
+from helpers import counted_stack_builds, scenario_document
 
 EX4_1_DOC = {
     "n": 2,
@@ -422,13 +425,24 @@ class TestRunCommand:
         assert captured.err.startswith("save-solve: error: --n:")
         assert "Traceback" not in captured.err
 
-    # ev on ex4_4 runs into the iteration cap, exit 2
-    @pytest.mark.parametrize("route, code", [
-        (["--N", "20"], 0), (["--route", "ev", "--max-iter", "200"], 2),
-    ])
+    # ev on ex4_4 runs into the iteration cap, exit 2; a dense file of a
+    # tridiagonal family over finite scenarios takes the band too
+    @pytest.mark.parametrize("source, route, code", [
+        ("ex4_4", ["--N", "20"], 0),
+        ("ex4_4", ["--route", "ev", "--max-iter", "200"], 2),
+        ("file", ["--sampler", "scenarios"], 0),
+        ("file", ["--route", "ev", "--max-iter", "200"], 0),
+    ], ids=["ex4_4-erm", "ex4_4-ev", "file-erm", "file-ev"])
     def test_band_native_run_reads_no_dense_view(self, tmp_path, monkeypatch, capsys,
-                                                 route, code):
-        argv = ["run", "--example", "ex4_4", "--n", "300", "--x0-seed", "3", *route,
+                                                 source, route, code):
+        if source == "file":
+            path = tmp_path / "tridiagonal.json"
+            doc = scenario_document(np.random.default_rng(0), 250, 40)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            source = ["--problem-file", str(path)]
+        else:
+            source = ["--example", "ex4_4", "--n", "300"]
+        argv = ["run", *source, "--x0-seed", "3", *route,
                 "--out", str(tmp_path / "table.csv")]
         assert main(argv) == code
         table = (tmp_path / "table.csv").read_bytes()
@@ -515,6 +529,25 @@ class TestVerifyCommand:
         assert code == 64
         assert captured.out == ""
         assert captured.err == "save-solve: error: --n: Unable to allocate the dense stack\n"
+
+    @pytest.mark.parametrize("example", ["ex4_1", "ex2_1"])
+    def test_nan_tol_exits_64_before_printing(self, capsys, example):
+        x = "1,3" if example == "ex4_1" else "1,1,1,1"
+        assert main(["verify", "--example", example, "--x", x, "--ev", "--tol", "nan"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tol must be positive and finite" in captured.err
+
+    def test_one_omega_builds_the_dense_stack_three_times(self, monkeypatch, capsys):
+        # once each for the residual, A(w) of the complementarity check and
+        # the expected matrices; save is read off the residual's norm
+        builds = counted_stack_builds(monkeypatch)
+        code = main(["verify", "--example", "ex4_4", "--n", "300",
+                     "--x", ",".join(["1"] * 300), "--ev"])
+        assert code == 0
+        assert builds == [(2, 300, 300)] * 3
+        out = capsys.readouterr().out
+        assert out.count("omega=") == 1 and "save=ok" in out
 
 
 class TestOracleCommand:

@@ -31,11 +31,14 @@ from savesolve.core import (
     _apply,
     _apply_adjoint,
     _erm_value,
+    _max_band_width,
     _Ray,
     _sumsq,
 )
 from savesolve.ev import _EvRay, ev_gradient, ev_objective, expected_instance
 from savesolve.problems import problem_from_dict
+
+from helpers import scalar_trial, scenario_document
 
 
 @pytest.fixture
@@ -238,24 +241,6 @@ def banded_stacks(rng, n, m, lower, upper, zero_term):
                              list(rng.uniform(-2.0, 2.0, (m, n))))
 
 
-def scenario_document(rng, n, k):
-    """A tridiagonal base and a diagonal term over k finite scenarios, the
-    shape of the benchmark's generated ev_scenarios problems."""
-    A0 = np.diag(rng.uniform(3.0, 5.0, n)) + np.diag(rng.uniform(0.5, 1.5, n - 1), 1)
-    A0 += np.diag(rng.uniform(0.5, 1.5, n - 1), -1)
-    probs = rng.uniform(0.5, 1.5, k)
-    return {
-        "n": n, "m": 1,
-        "A_base": A0.tolist(), "A_terms": [np.diag(rng.uniform(0.5, 1.5, n)).tolist()],
-        "b_base": rng.uniform(-1.0, 1.0, n).tolist(), "b_terms": [np.ones(n).tolist()],
-        "distribution": {
-            "kind": "finite_scenarios",
-            "scenarios": [{"omega": [float(w)], "p": float(p)}
-                          for w, p in zip(rng.uniform(0.0, 2.0, k), probs / probs.sum())],
-        },
-    }
-
-
 class TestBandStorage:
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_diagonal_stack_gives_the_dense_bits(self, m):
@@ -395,6 +380,10 @@ class TestDiagonalInput:
             for name in ("rows", "cols", "row_index", "col_index"):
                 assert getattr(native._band, name).tobytes() == getattr(dense._band, name).tobytes()
         assert native._A.tobytes() == dense._A.tobytes()
+        # both may be built from equal bands: pin them to the inputs too
+        reference = np.stack([dense_of(n, offsets, d) for d in diagonals])
+        assert dense._A.tobytes() == reference.tobytes()
+        assert native._A.tobytes() == reference.tobytes()
         assert native.A_base.tobytes() == dense.A_base.tobytes()
         assert [t.tobytes() for t in native.A_terms] == [t.tobytes() for t in dense.A_terms]
         samples = SampleSet(rng.uniform(0.0, 1.0, (7, m)), rng.uniform(0.5, 1.5, 7))
@@ -448,6 +437,89 @@ class TestDiagonalInput:
     def test_validation(self, args, match):
         with pytest.raises(ValueError, match=match):
             StochasticProblem.from_diagonals(*args)
+
+
+def band_span(A):
+    """lower + upper + 1 over the nonzeros of the stack A, offset 0 included."""
+    _, i, j = np.nonzero(A)
+    return max([0, *(i - j)]) + max([0, *(j - i)]) + 1
+
+
+def check_one_store(problem):
+    """Exactly one of the band and the dense stack is stored; the dense
+    views are the stored stack, or built read-only on each read."""
+    assert (problem._band is None) != (problem._dense is None)
+    A = problem._A
+    assert not A.flags.writeable
+    if problem._band is None:
+        assert A is problem._dense
+    else:
+        assert not np.shares_memory(A, problem._A)
+        assert not np.shares_memory(problem.A_base, problem.A_base)
+    return A
+
+
+class TestOneStore:
+    """Whichever constructor built it, a problem keeps the band where the
+    cost rule picks it, else the dense stack, never both."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 320), m=st.integers(0, 3),
+           lower=st.integers(0, 4), upper=st.integers(0, 4), zero_term=st.booleans())
+    @example(seed=0, n=150, m=1, lower=1, upper=1, zero_term=False)
+    @example(seed=0, n=151, m=1, lower=1, upper=1, zero_term=False)
+    def test_random_inputs(self, seed, n, m, lower, upper, zero_term):
+        rng = np.random.default_rng(seed)
+        offsets, diagonals = random_diagonals(rng, n, m)
+        b = rng.uniform(-2.0, 2.0, (m + 1, n))
+        problems = [
+            banded_stacks(rng, n, m, lower, upper, zero_term),
+            StochasticProblem.from_diagonals(offsets, diagonals, b[0], list(b[1:])),
+            StochasticProblem(dense_of(n, offsets, diagonals[0]),
+                              [dense_of(n, offsets, d) for d in diagonals[1:]],
+                              b[0], list(b[1:])),
+        ]
+        for problem in problems:
+            A = check_one_store(problem)
+            picked = band_span(A) < _max_band_width(m + 1, n)
+            assert (problem._band is not None) == picked
+
+    @pytest.mark.parametrize("n, banded", [
+        *((n, False) for n in range(2, 11)), (150, False), (151, True), (300, True),
+    ])
+    def test_ex4_4(self, n, banded):
+        problem = builtin_example("ex4_4", n=n)
+        check_one_store(problem)
+        assert (problem._band is not None) == banded
+
+    @pytest.mark.parametrize("example_id", ["ex2_1", "ex4_1", "ex4_2", "ex4_3"])
+    def test_builtins_are_dense(self, example_id):
+        problem = builtin_example(example_id)
+        check_one_store(problem)
+        assert problem._band is None
+
+    def test_dense_input_keeps_only_its_band(self):
+        # the stacked input is dropped once its band is picked: a dense
+        # tridiagonal n = 1000 problem keeps O(n), not its 16 MB stack
+        problem = problem_from_dict(scenario_document(np.random.default_rng(2), 1000, 3))
+        tracemalloc.start()
+        try:
+            rebuilt = StochasticProblem(problem.A_base, problem.A_terms, problem.b_base,
+                                        problem.b_terms, problem.distribution)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert rebuilt._dense is None
+        assert kept < 1_000_000
+
+    def test_off_band_negative_zero_reads_back_as_zero(self):
+        # the band holds the nonzero diagonals only, so an off-band -0.0 of
+        # dense input is not kept; inside the band its bits are
+        A = builtin_example("ex4_4", n=300).A_base.copy()
+        A[0, 5] = A[1, 1] = -0.0
+        problem = StochasticProblem(A, [], np.zeros(300), [])
+        assert problem._band is not None
+        assert np.signbit(problem.A_base[1, 1]) and not np.signbit(problem.A_base[0, 5])
 
 
 class TestProblemValidation:
@@ -744,13 +816,13 @@ class TestErmRay:
         mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
         F = samples._factor
         ray = _Ray(problem, F, functools.partial(_erm_value, F[:, :1]), x, d)
-        got = ray(alpha, mu)
+        got = scalar_trial(ray, alpha, mu)
         z = x + alpha * d
         value, value_scale, _, _ = direct_erm(problem, samples, z, mu)
         assert abs(got - value) <= 1e-12 * value_scale
         assert abs(got - smoothed_objective(problem, samples, z, mu)) <= 1e-12 * value_scale
         # one value formula: the ray's start is the objective, bit for bit
-        assert ray(0.0, mu) == smoothed_objective(problem, samples, x, mu)
+        assert scalar_trial(ray, 0.0, mu) == smoothed_objective(problem, samples, x, mu)
 
     @settings(max_examples=200, deadline=None)
     @given(**sampled_shapes, **ray_steps, size=st.integers(1, 12))
@@ -764,9 +836,9 @@ class TestErmRay:
         ray = _Ray(problem, F, functools.partial(_erm_value, F[:, :1]), x, d)
         alphas = [0.5**i for i in range(j, j + size)]
         values = ray.block(alphas, mu, lambda alpha, f: True)
-        assert np.array(values).tobytes() == np.array([ray(a, mu) for a in alphas]).tobytes()
+        assert np.array(values).tobytes() == np.array([scalar_trial(ray, a, mu) for a in alphas]).tobytes()
         for i, alpha in enumerate(alphas):
-            assert ray.raw(i) == ray(alpha, 0.0)
+            assert ray.raw(i) == scalar_trial(ray, alpha, 0.0)
 
     def test_block_size_rule(self):
         # at most 12 trials and 4096 lifted entries in a block; a lift of

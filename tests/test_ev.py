@@ -29,6 +29,8 @@ from savesolve import (
 )
 from savesolve.ev import _EvRay
 
+from helpers import scalar_trial
+
 EX2_1_STARTS = [
     (2.5127, -2.4490, 0.0596, 1.9908),
     (-1.4834, 3.3083, 0.8526, 0.4972),
@@ -337,13 +339,13 @@ class TestEvRay:
         alpha = 0.5**j
         mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
         ray = _EvRay(inst, x, d)
-        got = ray(alpha, mu)
+        got = scalar_trial(ray, alpha, mu)
         z = x + alpha * d
         value, value_scale, _, _ = direct_ev(inst.problem, z, mu)
         assert abs(got - value) <= 1e-12 * value_scale
         assert abs(got - ev_objective(inst, z, mu)) <= 1e-12 * value_scale
         # one value formula: the ray's start is the objective, bit for bit
-        assert ray(0.0, mu) == ev_objective(inst, x, mu)
+        assert scalar_trial(ray, 0.0, mu) == ev_objective(inst, x, mu)
 
     @settings(max_examples=200, deadline=None)
     @given(**instance_shapes, j=st.integers(0, 60), d_exp=st.floats(-6.0, 3.0),
@@ -357,9 +359,9 @@ class TestEvRay:
         ray = _EvRay(inst, x, d)
         alphas = [0.5**i for i in range(j, j + size)]
         values = ray.block(alphas, mu, accept_all)
-        assert np.array(values).tobytes() == np.array([ray(a, mu) for a in alphas]).tobytes()
+        assert np.array(values).tobytes() == np.array([scalar_trial(ray, a, mu) for a in alphas]).tobytes()
         for i, alpha in enumerate(alphas):
-            assert ray.raw(i) == ray(alpha, 0.0)
+            assert ray.raw(i) == scalar_trial(ray, alpha, 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 64), m=st.integers(0, 2),
@@ -388,13 +390,13 @@ class TestEvRay:
                 # a test that rejects every value gets the floor back
                 (floor,) = ray.block([alpha], mu, reject_all)
                 assert ray.screened == i + 1
-                value = ray(alpha, mu)
+                value = scalar_trial(ray, alpha, mu)
                 assert floor <= value or math.isnan(value)
                 assert math.isnan(value) or not math.isnan(floor)
                 # one that accepts it gets the value, and raw the value at
                 # mu = 0 off the block's tails: both bitwise the scalar ray
                 assert np.float64(ray.block([alpha], mu, accept_all)[0]).tobytes() == np.float64(value).tobytes()
-                assert np.float64(ray.raw(0)).tobytes() == np.float64(ray(alpha, 0.0)).tobytes()
+                assert np.float64(ray.raw(0)).tobytes() == np.float64(scalar_trial(ray, alpha, 0.0)).tobytes()
                 assert ray.screened == i + 1
 
 

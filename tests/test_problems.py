@@ -23,6 +23,8 @@ from savesolve import (
     residual,
 )
 
+from helpers import counted_stack_builds, scenario_document
+
 VALID_DOC = {
     "n": 2,
     "m": 1,
@@ -195,6 +197,24 @@ class TestProblemDocuments:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ProblemFormatError, match="JSON"):
             load_problem_file(path)
+
+    def test_to_dict_builds_the_dense_stack_once(self, monkeypatch):
+        problem = builtin_example("ex4_4", n=300)
+        builds = counted_stack_builds(monkeypatch)
+        doc = problem_to_dict(problem)
+        assert builds == [(2, 300, 300)]
+        assert doc["A_base"] == problem.A_base.tolist()
+        assert doc["A_terms"] == [t.tolist() for t in problem.A_terms]
+
+    def test_dense_tridiagonal_round_trip_keeps_the_band(self):
+        problem = problem_from_dict(scenario_document(np.random.default_rng(4), 250, 5))
+        again = problem_from_dict(json.loads(json.dumps(problem_to_dict(problem))))
+        assert problem._band is not None
+        assert problem._dense is None and again._dense is None
+        for name in ("rows", "cols", "row_index", "col_index"):
+            assert getattr(again._band, name).tobytes() == getattr(problem._band, name).tobytes()
+        assert again._band.lower == problem._band.lower
+        assert again._b.tobytes() == problem._b.tobytes()
 
 
 class TestCase2Documents:

@@ -29,6 +29,8 @@ from savesolve import ev
 from savesolve.core import FiniteScenarios, _erm_value, _Ray
 from savesolve.ev import _EvRay, ev_gradient, ev_objective, ev_solve, expected_instance
 
+from helpers import scalar_trial
+
 
 def quadratic_1d_problem():
     # A = 0, b = 0 makes the smoothed objective x^2 + mu, so at mu = 0 the
@@ -547,10 +549,10 @@ class OracleRay:
 
     def block(self, alphas, mu, accepts):
         self.steps += alphas
-        return [self.ray(alphas[0], mu)]
+        return [scalar_trial(self.ray, alphas[0], mu)]
 
     def raw(self, i):
-        return self.ray(self.steps[-1], 0.0)
+        return scalar_trial(self.ray, self.steps[-1], 0.0)
 
 
 def compare_searches(model, x, d, mu, f0, slope, cfg, size):
@@ -648,7 +650,7 @@ class TestBlockSearch:
         cfg = SolverConfig(max_backtracks=max_backtracks)
         slope = float(model.gradient(x, 0.0) @ d)
         with np.errstate(over="ignore"):
-            assert math.isfinite(model.ray(x, d)(1.0, 0.0)) == (s != 600)
+            assert math.isfinite(scalar_trial(model.ray(x, d), 1.0, 0.0)) == (s != 600)
             _, got, trials = compare_searches(model, x, d, 0.0, model.value(x, 0.0), slope,
                                               cfg, size)
         if accepted is None:
