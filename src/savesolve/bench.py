@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,17 +66,17 @@ class UniformRandomStart:
 class RunRecord:
     """One experiment outcome; the table emitters print N, x0, x* and f(x*)."""
 
-    example_id: str = ""
-    N: int = 0
-    x0: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    x_star: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    f_star: float = float("nan")
-    grad_norm: float = float("nan")
-    iterations: int = 0
-    mu_final: float = float("nan")
-    status: SolveStatus | None = None
-    wall_time: float = 0.0
-    ev_on_uniform: bool = False
+    example_id: str
+    N: int
+    x0: np.ndarray
+    x_star: np.ndarray
+    f_star: float
+    grad_norm: float
+    iterations: int
+    mu_final: float
+    status: SolveStatus
+    wall_time: float
+    ev_on_uniform: bool
 
 
 def run_experiment(

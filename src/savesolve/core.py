@@ -27,10 +27,11 @@ gradient calls cost O(m w n + m^2 n) for band width w, O(m n^2 + m^2 n)
 dense, whatever the sample count.  eval_A, residual and smoothed_jacobian
 stay dense: they are the oracles.
 
-Whichever constructor built it, a problem stores A once: as the band where
-the rule picks it, else as the dense stack.  A banded problem builds the
-dense _A, A_base and A_terms read-only on each read, uncached: only the
-oracles and problem_to_dict read them.
+Whichever constructor built it, a problem stores A once, as the band where
+the rule picks it, else as the dense stack; dense input is scanned in place
+for its nonzero diagonals and stacked only where the rule keeps it dense.
+A banded problem builds the dense _A, A_base and A_terms read-only on each
+read, uncached: only the oracles and problem_to_dict read them.
 
 Each route values a lift W L(x) of the rows L(x) = _A x - _b: erm lifts with
 the moment factor F (F^T F = M) and ev with its points U = [1, points].  L is
@@ -161,9 +162,10 @@ class StochasticProblem:
     from_diagonals builds the family from its slices' diagonals instead.
 
     The coefficients are stored once, read-only, never in the caller's
-    arrays: b as the stack _b, A by the one rule of _store_A.  A_base and
-    A_terms are views of the dense stack, which a banded problem builds on
-    each read, O(m n^2), uncached, so it stays read-only after construction.
+    arrays: b as the stack _b, A by the one rule of _store_A, which stacks
+    dense input only where it stays dense.  A_base and A_terms are views of
+    the dense stack, which a banded problem builds on each read, O(m n^2),
+    uncached, so it stays read-only after construction.
     """
 
     def __init__(self, A_base, A_terms, b_base, b_terms, distribution=UniformBox()):
@@ -181,9 +183,8 @@ class StochasticProblem:
                     f"A_terms[{j}] has shape {term.shape}, expected ({n}, {n})"
                 )
         self._store_rhs(b_base, b_terms, len(A_terms), distribution)
-        stack = np.stack([A_base, *A_terms])
-        stack.flags.writeable = False  # problems are shared across solves
-        self._store_A(_Band.of(stack), lambda: stack)
+        slices = [A_base, *A_terms]
+        self._store_A(len(slices), n, _bandwidths(slices), lambda: np.stack(slices))
 
     @classmethod
     def from_diagonals(cls, offsets, diagonals, b_base, b_terms,
@@ -227,14 +228,17 @@ class StochasticProblem:
         problem = cls.__new__(cls)
         problem._store_rhs(b_base, b_terms, len(diagonals) - 1, distribution)
         count = len(diagonals)
-        problem._store_A(_Band.of_diagonals(count, n, diags), lambda: _stack_of(count, n, diags))
+        problem._store_A(count, n, diags, lambda: _stack_of(count, n, diags))
         return problem
 
-    def _store_A(self, band, dense):
-        """The one storage rule for A: the band where the cost rule picked
-        one, else the read-only dense stack that dense() builds."""
-        self._band = band
-        self._dense = dense() if band is None else None
+    def _store_A(self, count, n, diagonals, dense):
+        """The one storage rule for A: the band of the diagonals {offset:
+        (count, n - |offset|) array} where the cost rule picks it, else the
+        read-only stack that dense() builds; diagonals None means no band."""
+        self._band = None if diagonals is None else _Band.of_diagonals(count, n, diagonals)
+        self._dense = dense() if self._band is None else None
+        if self._dense is not None:
+            self._dense.flags.writeable = False  # problems are shared across solves
 
     def _store_rhs(self, b_base, b_terms, m, distribution):
         """Validate b_terms and the distribution against m terms of A, then
@@ -327,7 +331,7 @@ class SampleSet:
 # three diagonals) takes the band from n = 151 on
 _BAND_FIXED = 40_000
 _BAND_ENTRY = 6
-# _bandwidths reads a dense stack this many rows at a time
+# _bandwidths reads each dense slice this many rows at a time
 _SCAN_ROWS = 64
 
 
@@ -344,16 +348,6 @@ class _Band:
     row_index: np.ndarray
     col_index: np.ndarray
     lower: int
-
-    @classmethod
-    def of(cls, A: np.ndarray) -> _Band | None:
-        """The band of the dense stack A, or None when dense products are
-        cheaper: the diagonals that _bandwidths finds, given to of_diagonals."""
-        count, n, _ = A.shape
-        lower, upper = _bandwidths(A, _max_band_width(count, n))
-        return cls.of_diagonals(
-            count, n, {off: np.diagonal(A, off, 1, 2) for off in range(-lower, upper + 1)}
-        )
 
     @classmethod
     def of_diagonals(cls, count: int, n: int, diagonals: dict) -> _Band | None:
@@ -405,25 +399,28 @@ def _stack_of(count: int, n: int, diagonals: dict) -> np.ndarray:
     return A
 
 
-def _bandwidths(A: np.ndarray, stop: float) -> tuple[int, int]:
-    """(lower, upper): the largest i - j and j - i over the nonzeros
-    A_s[i, j] of every slice, found _SCAN_ROWS rows at a time, so that the
-    nonzero pattern takes O(n) memory, not O(n^2).  The scan ends early
-    once lower + upper + 1 reaches stop."""
-    n = A.shape[-1]
-    rows = A.reshape(-1, n)
+def _bandwidths(slices) -> dict | None:
+    """The diagonals {offset: (count, n - |offset|) array} of the count n x n
+    slices from offset -lower to upper, the largest i - j and j - i over the
+    nonzeros A_s[i, j]; None, with nothing gathered, once lower + upper + 1
+    reaches the cost rule's width.  Each slice is read in place _SCAN_ROWS
+    rows at a time, so the nonzero pattern takes O(n) memory, not O(n^2)."""
+    n = slices[0].shape[0]
+    stop = _max_band_width(len(slices), n)
     lower = upper = 0
-    for start in range(0, rows.shape[0], _SCAN_ROWS):
-        nz = rows[start:start + _SCAN_ROWS] != 0
-        i = np.arange(start, start + nz.shape[0]) % n
-        found = nz.any(axis=1)
-        first = nz.argmax(axis=1)
-        last = n - 1 - nz[:, ::-1].argmax(axis=1)
-        lower = max(lower, int(np.max(i - first, where=found, initial=0)))
-        upper = max(upper, int(np.max(last - i, where=found, initial=0)))
-        if lower + upper + 1 >= stop:
-            break
-    return lower, upper
+    for A in slices:
+        for start in range(0, n, _SCAN_ROWS):
+            nz = A[start:start + _SCAN_ROWS] != 0
+            i = np.arange(start, start + nz.shape[0])
+            found = nz.any(axis=1)
+            first = nz.argmax(axis=1)
+            last = n - 1 - nz[:, ::-1].argmax(axis=1)
+            lower = max(lower, int(np.max(i - first, where=found, initial=0)))
+            upper = max(upper, int(np.max(last - i, where=found, initial=0)))
+            if lower + upper + 1 >= stop:
+                return None
+    return {off: np.stack([np.diagonal(A, off) for A in slices])
+            for off in range(-lower, upper + 1)}
 
 
 def _apply(problem, x):

@@ -187,21 +187,21 @@ def armijo_backtrack(
     along a ray (SmoothedModel's protocol) at mu.
 
     f0 is the value at the ray's start and slope the directional derivative
-    there, which must be negative.  The test f - f0 <= delta * alpha *
-    slope also asks for a negative bound, so a step too small to decrease f
-    is never accepted.  The bound only shrinks toward zero as j grows, so
-    the search ends at the first step whose bound is not negative, with no
-    trial evaluated there or past it.  The steps go to ray.block at most
-    ray.size at a time, and the next block only when the search runs past
-    the last.  Returns (j, alpha, f there, raw f there); raises
-    LineSearchError when every trial fails.
+    there, which must be negative.  Only steps whose bound delta * alpha *
+    slope is negative reach the test f - f0 <= delta * alpha * slope, so a
+    step too small to decrease f is never accepted.  The bound only shrinks
+    toward zero as j grows, so the search ends at the first step whose
+    bound is not negative, with no trial evaluated there or past it.  The
+    steps go to ray.block at most ray.size at a time, and the next block
+    only when the search runs past the last.  Returns (j, alpha, f there,
+    raw f there); raises LineSearchError when every trial fails.
     """
     if not slope < 0.0:
         raise ValueError(f"d is not a descent direction (grad^T d = {slope!r})")
     rho, delta, stop = cfg.rho_backtrack, cfg.delta, cfg.max_backtracks + 1
 
     def accepts(alpha, f):
-        return f - f0 <= delta * alpha * slope < 0.0
+        return f - f0 <= delta * alpha * slope
 
     for first in range(0, stop, ray.size):
         alphas = [rho**j for j in range(first, min(first + ray.size, stop))]

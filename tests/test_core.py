@@ -30,6 +30,7 @@ from savesolve.core import (
     _affine_rows,
     _apply,
     _apply_adjoint,
+    _bandwidths,
     _erm_value,
     _max_band_width,
     _Ray,
@@ -310,6 +311,36 @@ class TestBandStorage:
         A[-1, -5] = 1.0
         assert StochasticProblem(A, [], np.zeros(300), [])._band.rows.shape == (1, 6, 300)
 
+    def test_scan_reads_the_last_row_of_the_last_term(self):
+        base = builtin_example("ex4_4", n=300).A_base
+        last = np.eye(300)
+        last[-1, -5] = -1.0
+        problem = StochasticProblem(base, [np.eye(300), last], np.zeros(300),
+                                    [np.ones(300)] * 2)
+        assert problem._band.rows.shape == (3, 6, 300)
+        assert problem._A.tobytes() == np.stack([base, np.eye(300), last]).tobytes()
+
+    def test_dense_input_that_ends_the_scan_at_once_is_stacked_as_given(self):
+        # the first row is full, so the first chunk already spans the matrix
+        rng = np.random.default_rng(5)
+        A_base, A_term = rng.uniform(-1.0, 1.0, (2, 300, 300))
+        A_term[0, -1] = -0.0
+        assert _bandwidths([A_base, A_term]) is None
+        problem = StochasticProblem(A_base, [A_term], np.zeros(300), [np.ones(300)])
+        assert problem._band is None
+        assert problem._dense.tobytes() == np.stack([A_base, A_term]).tobytes()
+        assert not np.shares_memory(problem._dense, A_base)
+
+    def test_in_band_negative_zero_of_a_term_keeps_its_sign(self):
+        rng = np.random.default_rng(6)
+        problem = banded_stacks(rng, 300, 2, 1, 2, zero_term=False)
+        terms = [t.copy() for t in problem.A_terms]
+        terms[1][10, 12] = terms[0][7, 6] = -0.0
+        rebuilt = StochasticProblem(problem.A_base, terms, problem.b_base, problem.b_terms)
+        assert rebuilt._band is not None
+        assert np.signbit(rebuilt.A_terms[1][10, 12]) and np.signbit(rebuilt.A_terms[0][7, 6])
+        assert rebuilt._A.tobytes() == np.stack([problem.A_base, *terms]).tobytes()
+
 
 def random_diagonals(rng, n, m):
     """Distinct offsets in [-4, 4] and one diagonal per slice and offset,
@@ -511,6 +542,22 @@ class TestOneStore:
             tracemalloc.stop()
         assert rebuilt._dense is None
         assert kept < 1_000_000
+
+    def test_dense_input_is_not_stacked_before_the_rule(self):
+        # the slices are scanned in place: building from 16 MB of dense
+        # tridiagonal input peaks at the n x n finiteness mask, not at a
+        # second 16 MB stack
+        problem = problem_from_dict(scenario_document(np.random.default_rng(3), 1000, 3))
+        A_base, A_terms = problem.A_base, problem.A_terms
+        tracemalloc.start()
+        try:
+            rebuilt = StochasticProblem(A_base, A_terms, problem.b_base,
+                                        problem.b_terms, problem.distribution)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rebuilt._dense is None
+        assert peak < 4_000_000
 
     def test_off_band_negative_zero_reads_back_as_zero(self):
         # the band holds the nonzero diagonals only, so an off-band -0.0 of
