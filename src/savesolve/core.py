@@ -37,15 +37,15 @@ Each route values a lift W L(x) of the rows L(x) = _A x - _b: erm lifts with
 the moment factor F (F^T F = M) and ev with its points U = [1, points].  L is
 linear in x, so one line-search ray, _Ray, serves both routes: it forms
 W L(x) and W (_A d) once, and each trial at x + alpha d is their combination
-passed to the route's one value formula, with no n x n product.  The ray
-evaluates a block of trials, several steps alpha, in one set of numpy calls
-over a leading block axis that each value formula takes, summing each row's
-squares with one BLAS dot so that a row is bitwise the trial alone; a fixed
-cost rule caps the block by the lift's size.  The mu = 0 value at a step is
-read off its stored block row.  The search hands each block its Armijo
-test, so a route's ray may reject a trial on a lower bound read off part of
-the lift, unevaluated: ev's ray does, over the expected row of its lift
-(ev._EvRay).
+passed to the route's one value formula, with no n x n product.  Every
+value formula takes a leading axis of trials and sums each row's squares
+with one BLAS dot (_sumsq), so a row is bitwise the trial alone, and a lone
+value, the objective at x or a step's mu = 0 value read off its stored
+block row, is a block of one.  The ray evaluates a block of several steps
+alpha in one set of numpy calls, capped by a fixed cost rule on the lift's
+size.  The search hands each block its Armijo test, so a route's ray may
+reject a block on lower bounds read off part of the lift, unevaluated: ev's
+ray does, over the expected row of its lift (ev._EvRay).
 
 All operations are pure functions of their inputs; problem and sample objects
 are treated as read-only after construction, so they are safe to share across
@@ -520,22 +520,18 @@ def _affine_adjoint(problem, S, local):
     return _apply_adjoint(problem, S) - local
 
 
-def _sumsq(V, block):
-    """The sum of squares of V's entries or, when block, of each row V[j]'s,
-    as one BLAS dot per row: a block row's sum is bitwise np.vdot(V[j], V[j])."""
-    if not block:
-        return float(np.vdot(V, V))
+def _sumsq(V):
+    """The sum of squares of each row V[j]'s entries, one BLAS dot per row,
+    bitwise np.vdot(V[j], V[j])."""
     R = V.reshape(len(V), 1, -1)
     return (R @ R.transpose(0, 2, 1)).ravel()
 
 
 def _erm_value(F0, Y, z, mu):
-    """smoothed_objective at z over its lifted rows Y = F L(z):
-    ||Y - F0 smooth_abs(z, mu)||_F^2, as psi enters row 0 of L and F0 =
-    F[:, :1].  Y and z may carry a leading block axis of trial points, and
-    then the value is one per trial."""
-    P = Y - F0 * smooth_abs(z, mu)[..., None, :]
-    return _sumsq(P, z.ndim == 2)
+    """smoothed_objective at each trial point z[t] over its lifted rows Y[t]
+    = F L(z[t]): ||Y[t] - F0 smooth_abs(z[t], mu)||_F^2, as psi enters row 0
+    of L and F0 = F[:, :1]."""
+    return _sumsq(Y - F0 * smooth_abs(z, mu)[:, None, :])
 
 
 # A block of trials pays numpy's per-call overhead once for all its rows,
@@ -559,11 +555,11 @@ class _Ray:
 
     block evaluates the trials at several steps in one set of numpy calls
     over a leading block axis, at most size of them, and keeps their rows,
-    so that raw reads the mu = 0 value of any of its trials with no second
-    pass along the ray.
+    so that raw reads the mu = 0 value of any of its trials, a block of one,
+    with no second pass along the ray.
     block is handed the search's test, accepts(alpha, f), and evaluates
     every trial all the same; a route's ray may use the test to reject a
-    trial on a lower bound, unevaluated, counted in screened (ev._EvRay).
+    block on lower bounds, unevaluated, counted in screened (ev._EvRay).
     """
 
     screened = 0
@@ -583,7 +579,7 @@ class _Ray:
 
     def raw(self, i):
         """f(x + alpha d, 0) at the step alphas[i] of the last block."""
-        return self.value(self.rows[i], self.points[i], 0.0)
+        return float(self.value(self.rows[i:i + 1], self.points[i:i + 1], 0.0)[0])
 
 
 def erm_objective(problem: StochasticProblem, samples: SampleSet, x) -> float:
@@ -603,7 +599,8 @@ def smoothed_objective(
     _check_samples(problem, samples)
     x = _check_vector(x, problem.n, "x")
     F = samples._factor
-    return _erm_value(F[:, :1], F @ _affine_rows(problem, x, 0.0), x, mu)
+    Y = F @ _affine_rows(problem, x, 0.0)
+    return float(_erm_value(F[:, :1], Y[None], x[None], mu)[0])
 
 
 def smoothed_jacobian(problem: StochasticProblem, x, omega, mu: float) -> np.ndarray:

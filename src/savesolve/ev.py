@@ -26,14 +26,14 @@ route's lift of the rows: _ev_value reads the whole objective off U L(x),
 and core's one ray evaluates each line-search trial from U L(x) and
 U (_A d), formed once per iteration.
 
-The value is 0.5 * (head + tail_G + tail_H).  The head, the squared phi of
-the expected row 0, is the only part that depends on mu; the tails, the
-squared negative parts of the scenario rows, are nonnegative.  So 0.5 *
-head bounds the computed value from below, and ev's ray, _EvRay, reads it
-off row 0 alone.  Its lift has k + 1 rows, so a large one takes one trial
-per block, and a one-step block rejects a trial whose bound already fails
-the search's Armijo test without summing the scenario rows; the raw value
-of the accepted trial reuses that trial's tails.
+The value is 0.5 * (head + tail_G + tail_H), summed in _ev_sum alone.  The
+head, the squared phi of the expected row 0, is the only part that depends
+on mu; the tails, the squared negative parts of the scenario rows, are
+nonnegative.  So 0.5 * head bounds the computed value from below, and ev's
+ray, _EvRay, reads it off row 0 alone.  A block of any size whose every
+bound already fails the search's Armijo test is rejected without summing
+the scenario rows; otherwise the block keeps its tails, and the raw value
+of the accepted trial adds its head at mu = 0 to them.
 """
 
 from __future__ import annotations
@@ -171,30 +171,33 @@ def ev_objective(inst: EvInstance, x, mu: float) -> float:
     the squared constrained-system residual.
     """
     x = _check_vector(x, inst.n, "x")
-    return _ev_value(inst._U @ _affine_rows(inst.problem, x, 0.0), x, mu)
+    Y = inst._U @ _affine_rows(inst.problem, x, 0.0)
+    return float(_ev_value(Y[None], x[None], mu)[0])
 
 
 def _ev_value(Y, z, mu):
-    """ev_objective at z over its lifted rows Y = U L(z), whose constraint
-    rows are Y + z and Y - z: 0.5 * (head + tail_G + tail_H), the head over
-    row 0 and the tails over the scenario rows.  Y and z may carry a leading
-    block axis of trial points, and then the value is one per trial."""
-    tail_G, tail_H = _ev_tails(Y[..., 1:, :], z)
-    return 0.5 * (_ev_head(Y[..., 0, :], z, mu) + tail_G + tail_H)
+    """ev_objective at each trial point z[t] over its lifted rows Y[t] =
+    U L(z[t]), whose constraint rows are Y[t] + z[t] and Y[t] - z[t]: the
+    head over row 0 and the tails over the scenario rows, summed by _ev_sum."""
+    return _ev_sum(_ev_head(Y[:, 0], z, mu), *_ev_tails(Y[:, 1:], z))
+
+
+def _ev_sum(head, tail_G, tail_H):
+    """ev's value from its parts, 0.5 * (head + tail_G + tail_H)."""
+    return 0.5 * (head + tail_G + tail_H)
 
 
 def _ev_head(Y0, z, mu):
-    """vdot(phi, phi) of the expected row at z, over its lifted row Y0: the
-    only part of ev's value that depends on mu."""
-    return _sumsq(smoothed_fb(Y0 + z, Y0 - z, mu), z.ndim == 2)
+    """vdot(phi, phi) of the expected row at each trial point z[t], over its
+    lifted row Y0[t]: the only part of ev's value that depends on mu."""
+    return _sumsq(_fb_parts(Y0 + z, Y0 - z, mu)[1])
 
 
 def _ev_tails(Ys, z):
-    """(tail_G, tail_H), the vdot of min(0, .) of the scenario constraint
-    rows Ys + z and Ys - z over their lifted rows Ys: nonnegative, or NaN."""
-    block = z.ndim == 2
-    z = z[..., None, :]
-    return _sumsq(np.minimum(0.0, Ys + z), block), _sumsq(np.minimum(0.0, Ys - z), block)
+    """(tail_G, tail_H) per trial t, the vdot of min(0, .) of the scenario
+    constraint rows Ys[t] + z[t] and Ys[t] - z[t]: nonnegative, or NaN."""
+    z = z[:, None, :]
+    return _sumsq(np.minimum(0.0, Ys + z)), _sumsq(np.minimum(0.0, Ys - z))
 
 
 class _EvRay(_Ray):
@@ -202,39 +205,35 @@ class _EvRay(_Ray):
 
     The tails are nonnegative and rounding is monotone, so 0.5 * head, read
     off row 0 of the lift alone in O(n) where the trial is O(k n), is a
-    lower bound on the computed trial value.  A one-step block computes the
-    head first; when the search's test already rejects 0.5 * head, it
-    returns that bound, counted in screened, and sums no scenario row.
-    Otherwise it adds the tails, and raw adds the head at mu = 0 to them,
-    kept as two floats in the formula's order, so every value is bitwise
-    _ev_value's at the trial.  Blocks of several steps are core's.
+    lower bound on the computed trial value.  A block computes its heads
+    first; when the search's test rejects every row's bound, it returns
+    those bounds, counted in screened, and sums no scenario row.  Otherwise
+    it sums the tails and keeps them, and raw adds the head at mu = 0 to a
+    row's tails, so every value is bitwise _ev_value's at the trial.
     """
 
     def __init__(self, inst, x, d):
         super().__init__(inst.problem, inst._U, _ev_value, x, d)
-        self.screened = 0
-        self.last = None  # (row 0, point, tail_G, tail_H) of a one-step block
 
     def block(self, alphas, mu, accepts):
-        if len(alphas) > 1:
-            self.last = None
-            return super().block(alphas, mu, accepts)
-        alpha = alphas[0]
-        z = self.x + alpha * self.d
-        row = self.Y[0] + alpha * self.Q[0]
-        head = _ev_head(row, z, mu)
-        if not accepts(alpha, 0.5 * head):
-            self.screened += 1
-            return [0.5 * head]
-        tail_G, tail_H = _ev_tails(self.Y[1:] + alpha * self.Q[1:], z)
-        self.last = (row, z, tail_G, tail_H)
-        return [0.5 * (head + tail_G + tail_H)]
+        a = np.array(alphas)[:, None]
+        self.points = self.x + a * self.d
+        self.row0 = self.Y[0] + a * self.Q[0]
+        head = _ev_head(self.row0, self.points, mu)
+        bounds = (0.5 * head).tolist()
+        if not any(map(accepts, alphas, bounds)):
+            self.screened += len(alphas)
+            return bounds
+        # in place, sparing a temporary the size of the scenario rows
+        Ys = a[:, None] * self.Q[1:]
+        Ys += self.Y[1:]
+        self.tails = _ev_tails(Ys, self.points)
+        return _ev_sum(head, *self.tails).tolist()
 
     def raw(self, i):
-        if self.last is None:
-            return super().raw(i)
-        row, z, tail_G, tail_H = self.last
-        return 0.5 * (_ev_head(row, z, 0.0) + tail_G + tail_H)
+        head = _ev_head(self.row0[i:i + 1], self.points[i:i + 1], 0.0)
+        tail_G, tail_H = self.tails
+        return float(_ev_sum(head[0], tail_G[i], tail_H[i]))
 
 
 def ev_gradient(inst: EvInstance, x, mu: float) -> np.ndarray:

@@ -13,10 +13,10 @@ objective.  One outer iteration:
      shared affine rows the model forms once (no n x n product per trial).
      The trials come in blocks of consecutive steps, each block one set of
      numpy calls, and a block is evaluated only when the search reaches it;
-     the ray is handed the test, so a ray that bounds a trial from below
-     (ev's, by 0.5 * ||Phi_mu||^2) can reject it unevaluated; the new
-     iterate's unsmoothed value is read off the accepted trial's row of its
-     block at mu = 0;
+     the ray is handed the test, so a ray that bounds its trials from below
+     (ev's, by 0.5 * ||Phi_mu||^2) can reject a block whose every bound
+     fails unevaluated; the new iterate's unsmoothed value is read off the
+     accepted trial's row of its block at mu = 0;
   4. shrink mu_{k+1} = sigma * mu_k when ||grad f(x_{k+1}, mu_k)|| falls
      below gamma_bar * mu_k, otherwise keep mu_{k+1} = mu_k.
 
@@ -165,9 +165,9 @@ class SmoothedModel(NamedTuple):
     steps alphas, at most ray.size of them, where accepts(alpha, f) is the
     search's Armijo test, and raw(i) is f(x + alphas[i] d, 0) for a row of
     the last block that the test accepted.  A ray may fix once whatever its
-    trials share.  A block may also return, in place of a trial's value, a
-    lower bound on it that the test already rejects, unevaluated, and
-    count that trial in ray.screened, as ev._EvRay does.
+    trials share.  A block whose every row the test rejects on a lower
+    bound may also return those bounds in place of the values, unevaluated,
+    and count its rows in ray.screened, as ev._EvRay does.
     """
 
     value: Callable[[np.ndarray, float], float]

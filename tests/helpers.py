@@ -7,9 +7,10 @@ from savesolve import core
 
 def scalar_trial(ray, alpha, mu):
     """f(x + alpha d, mu) along a line-search ray, one trial on its own: the
-    route's value formula at the lifted rows Y + alpha Q and the point
-    x + alpha d, the oracle a block's rows are checked against."""
-    return ray.value(ray.Y + alpha * ray.Q, ray.x + alpha * ray.d, mu)
+    route's value formula over a block of one, at the lifted rows
+    Y + alpha Q and the point x + alpha d, the oracle a block's rows are
+    checked against."""
+    return ray.value((ray.Y + alpha * ray.Q)[None], (ray.x + alpha * ray.d)[None], mu)[0]
 
 
 def scenario_document(rng, n, k):

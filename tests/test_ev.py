@@ -27,7 +27,7 @@ from savesolve import (
     verify_glcp,
     verify_save,
 )
-from savesolve.ev import _EvRay
+from savesolve.ev import _ev_head, _EvRay
 
 from helpers import scalar_trial
 
@@ -398,6 +398,47 @@ class TestEvRay:
                 assert np.float64(ray.block([alpha], mu, accept_all)[0]).tobytes() == np.float64(value).tobytes()
                 assert np.float64(ray.raw(0)).tobytes() == np.float64(scalar_trial(ray, alpha, 0.0)).tobytes()
                 assert ray.screened == i + 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), m=st.integers(0, 2),
+           k=st.integers(1, 31), feasible=st.booleans(), raw=st.booleans(),
+           shift=st.one_of(st.integers(-20, 40), st.integers(600, 700)),
+           j=st.integers(0, 60), passing=st.integers(0, 11))
+    def test_multi_row_blocks_screen_when_every_bound_fails(
+        self, seed, n, m, k, feasible, raw, shift, j, passing
+    ):
+        # lifts of at most 32 x 64 = 2048 entries, whose rays take blocks of
+        # 2 to 12 rows; the instances and directions of
+        # test_floor_is_a_lower_bound
+        rng = np.random.default_rng(seed)
+        problem = random_finite_problem(rng, n, m, k)
+        if feasible:
+            problem = StochasticProblem(problem.A_base, problem.A_terms, problem.b_base - 1e5,
+                                        problem.b_terms, problem.distribution)
+        inst = expected_instance(problem)
+        x = rng.uniform(-3, 3, size=n)
+        d = 2.0**shift * rng.uniform(-1.0, 1.0, n)
+        mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
+        ray = _EvRay(inst, x, d)
+        assert 2 <= ray.size <= 12
+        alphas = [0.5**i for i in range(j, j + ray.size)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.array([scalar_trial(ray, a, mu) for a in alphas])
+            floors = 0.5 * np.array([_ev_head((ray.Y[0] + a * ray.Q[0])[None], (x + a * d)[None], mu)[0]
+                                     for a in alphas])
+            # a test that rejects every row's bound gets the bounds back,
+            # and every row of the block is screened
+            assert np.array(ray.block(alphas, mu, reject_all)).tobytes() == floors.tobytes()
+            assert ray.screened == len(alphas)
+            assert np.all((floors <= values) | np.isnan(values))
+            # one that passes a single row's bound gets every row's value,
+            # and raw each row's value at mu = 0: bitwise the scalar ray
+            accepted = alphas[passing % len(alphas)]
+            block = ray.block(alphas, mu, lambda alpha, f: alpha == accepted)
+            assert np.array(block).tobytes() == values.tobytes()
+            for i, alpha in enumerate(alphas):
+                assert np.float64(ray.raw(i)).tobytes() == np.float64(scalar_trial(ray, alpha, 0.0)).tobytes()
+            assert ray.screened == len(alphas)
 
 
 class TestSlackElimination:

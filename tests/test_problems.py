@@ -91,6 +91,9 @@ class TestBuiltinExamples:
             builtin_example("ex4_4", n=1)
         with pytest.raises(ValueError, match="requires the dimension"):
             builtin_example("ex4_4")
+        for n in (300.0, np.float64(5), "300"):
+            with pytest.raises(ValueError, match="dimension n must be an integer"):
+                builtin_example("ex4_4", n=n)
 
     def test_unknown_id(self):
         with pytest.raises(ValueError, match="unknown example"):
