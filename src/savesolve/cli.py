@@ -29,8 +29,8 @@ from .bench import (
     emit_trace,
     run_experiment,
 )
-from .core import FiniteScenarios, erm_objective, eval_A, eval_b, residual
-from .ev import expected_instance, verify_glcp
+from .core import FiniteScenarios, erm_objective
+from .ev import _verdicts, expected_instance
 from .problems import (
     EXAMPLE_IDS,
     ProblemFormatError,
@@ -216,33 +216,26 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     problem, _, _ = _load_problem(args)
     x = _parse_floats(args.x, "--x")
-    tol = args.tol
     if args.omega is not None:
         omegas = [_parse_floats(args.omega, "--omega")]
     elif isinstance(problem.distribution, FiniteScenarios):
         omegas = list(problem.distribution.omegas)
     else:
         omegas = [np.zeros(problem.m)]
+    points = omegas + [expected_instance(problem).points[0]] if args.ev else omegas
+    verdicts = _verdicts(problem, x, points, args.tol)
     all_ok = True
-    try:
-        for omega in omegas:
-            res_norm = float(np.linalg.norm(residual(problem, x, omega)))
-            ok_glcp = verify_glcp(eval_A(problem, omega), eval_b(problem, omega), x, tol)
-            ok_save = res_norm <= tol  # verify_save's test; verify_glcp checked tol
-            all_ok &= ok_save and ok_glcp
-            label = ",".join(f"{c:g}" for c in omega)
-            print(
-                f"omega=({label}) residual_norm={res_norm:.3e} "
-                f"save={'ok' if ok_save else 'FAIL'} glcp={'ok' if ok_glcp else 'FAIL'}"
-            )
-        if args.ev:
-            inst = expected_instance(problem)
-            ok_ev = verify_glcp(inst.A_bar, inst.b_bar, x, tol)
-            all_ok &= ok_ev
-            print(f"expected matrices glcp={'ok' if ok_ev else 'FAIL'}")
-    except MemoryError as exc:  # the checks read dense n x n matrices
-        flag = "--n" if args.n is not None else "--problem-file"
-        raise ValueError(f"{flag}: {exc}") from None
+    for omega, (res_norm, ok_save, ok_glcp) in zip(omegas, verdicts):
+        all_ok &= ok_save and ok_glcp
+        label = ",".join(f"{c:g}" for c in omega)
+        print(
+            f"omega=({label}) residual_norm={res_norm:.3e} "
+            f"save={'ok' if ok_save else 'FAIL'} glcp={'ok' if ok_glcp else 'FAIL'}"
+        )
+    if args.ev:
+        ok_ev = verdicts[-1][2]
+        all_ok &= ok_ev
+        print(f"expected matrices glcp={'ok' if ok_ev else 'FAIL'}")
     return EXIT_OK if all_ok else 1
 
 

@@ -432,7 +432,8 @@ def _apply(problem, x):
 
 
 def _apply_adjoint(problem, S):
-    """sum_j A_j^T S_j over the rows S, shape (m + 1, n)."""
+    """sum_j A_j^T S_j over the rows S, shape (m + 1, n), the transpose of _apply:
+    S = U^T Z with U = _lift(points) gives sum_i A(w_i)^T z_i, no A(w_i) formed."""
     band = problem._band
     if band is None:
         return S.ravel() @ problem._dense.reshape(-1, problem.n)
@@ -508,16 +509,6 @@ def _affine_rows(problem, x, psi):
     R[0] -= psi
     R -= problem._b
     return R
-
-
-def _affine_adjoint(problem, S, local):
-    """sum_j A_j^T S_j - local over the moment rows S, shape (m + 1, n),
-    with A_0 = A_base: the transpose of _affine_rows in x.
-
-    For points w_i and rows z_i, S = U^T Z with U = _lift(points) gives
-    sum_i A(w_i)^T z_i - local, with no per-point matrix formed.
-    """
-    return _apply_adjoint(problem, S) - local
 
 
 def _sumsq(V):
@@ -629,4 +620,4 @@ def smoothed_gradient(
     x = _check_vector(x, problem.n, "x")
     psi = _check_kink(smooth_abs(x, mu))
     S = samples._moments @ _affine_rows(problem, x, psi)
-    return 2.0 * _affine_adjoint(problem, S, (x / psi) * S[0])
+    return 2.0 * (_apply_adjoint(problem, S) - (x / psi) * S[0])

@@ -45,8 +45,8 @@ import numpy as np
 from .core import (
     FiniteScenarios,
     StochasticProblem,
-    _affine_adjoint,
     _affine_rows,
+    _apply_adjoint,
     _check_kink,
     _check_vector,
     _lift,
@@ -55,7 +55,6 @@ from .core import (
     _sumsq,
     eval_A,
     eval_b,
-    residual,
     smooth_abs,
 )
 from .solver import SmoothedModel, SolveReport, SolverConfig, minimize_smoothed
@@ -250,7 +249,7 @@ def ev_gradient(inst: EvInstance, x, mu: float) -> np.ndarray:
     dH = np.minimum(0.0, H)
     dG[0] = (G[0] / s - 1.0) * phi
     dH[0] = (H[0] / s - 1.0) * phi
-    return _affine_adjoint(inst.problem, inst._U.T @ (dG + dH), (dH - dG).sum(axis=0))
+    return _apply_adjoint(inst.problem, inst._U.T @ (dG + dH)) - (dH - dG).sum(axis=0)
 
 
 def ev_residual(inst: EvInstance, x, y) -> np.ndarray:
@@ -292,19 +291,34 @@ def _check_tol(tol) -> float:
     return tol
 
 
+def _glcp_ok(r, x, tol: float) -> bool:
+    """The complementarity test for r = A x - b: its rows r + x = (A + I) x - b
+    and r - x = (A - I) x - b are >= -tol and orthogonal within tol."""
+    u, v = r + x, r - x
+    return bool(u.min() >= -tol and v.min() >= -tol and abs(float(u @ v)) <= tol)
+
+
+def _verdicts(problem: StochasticProblem, x, points, tol: float) -> list:
+    """[(residual norm, save, glcp)] at each point w of points, read off one
+    lift of core's affine rows: r = A(w) x - b(w) is a row of _lift(points) @
+    _affine_rows(x), the residual is r - |x|, and save tests its norm <= tol.
+    No n x n matrix is formed, so a banded problem is checked in O(n)."""
+    x = _check_vector(x, problem.n, "x")
+    points = np.array([_check_vector(w, problem.m, "omega") for w in points])
+    tol = _check_tol(tol)
+    R = _lift(points) @ _affine_rows(problem, x, 0.0)
+    norms = [float(np.linalg.norm(r - np.abs(x))) for r in R]
+    return [(norm, norm <= tol, _glcp_ok(r, x, tol)) for norm, r in zip(norms, R)]
+
+
 def verify_glcp(A, b, x, tol: float) -> bool:
     """Check (A+I)x - b >= 0, (A-I)x - b >= 0 and orthogonality, within tol."""
     tol = _check_tol(tol)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
-    Ax = A @ x
-    u = Ax + x - b
-    v = Ax - x - b
-    return bool(u.min() >= -tol and v.min() >= -tol and abs(float(u @ v)) <= tol)
+    r = np.asarray(A, dtype=float) @ x - np.asarray(b, dtype=float).ravel()
+    return _glcp_ok(r, x, tol)
 
 
 def verify_save(problem: StochasticProblem, x, omega, tol: float) -> bool:
     """Check that the equation residual at (x, omega) has norm at most tol."""
-    tol = _check_tol(tol)
-    return bool(np.linalg.norm(residual(problem, x, omega)) <= tol)
+    return _verdicts(problem, x, [omega], tol)[0][1]

@@ -517,18 +517,28 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert message in captured.err
 
-    def test_unallocatable_dense_view_exits_64(self, monkeypatch, capsys):
-        # verify reads n x n matrices, which a band-native problem builds
-        # on read; n = 300 stands in for a dimension too large for them
-        def dense_view(problem):
-            raise MemoryError("Unable to allocate the dense stack")
+    def test_reads_no_dense_view(self, tmp_path, monkeypatch, capsys):
+        # verify reads A(w) x - b(w) off the lifted affine rows, so a dense
+        # view that cannot be built changes neither its output nor its code;
+        # the file is a dense tridiagonal family over 40 scenarios, which
+        # takes the band
+        path = tmp_path / "tridiagonal.json"
+        path.write_text(json.dumps(scenario_document(np.random.default_rng(0), 250, 40)),
+                        encoding="utf-8")
+        for source, n in [(["--example", "ex4_4", "--n", "300"], 300),
+                          (["--problem-file", str(path)], 250)]:
+            argv = ["verify", *source, "--x", ",".join(["1"] * n), "--ev"]
+            code = main(argv)
+            out = capsys.readouterr().out
+            with monkeypatch.context() as patch:
+                def dense_view(problem):
+                    raise MemoryError("Unable to allocate the dense stack")
 
-        monkeypatch.setattr(StochasticProblem, "_A", property(dense_view))
-        code = main(["verify", "--example", "ex4_4", "--n", "300", "--x", ",".join(["1"] * 300)])
-        captured = capsys.readouterr()
-        assert code == 64
-        assert captured.out == ""
-        assert captured.err == "save-solve: error: --n: Unable to allocate the dense stack\n"
+                patch.setattr(StochasticProblem, "_A", property(dense_view))
+                assert main(argv) == code
+                captured = capsys.readouterr()
+            assert captured.out == out and captured.err == ""
+            assert "omega=" in out and "expected matrices glcp=" in out
 
     @pytest.mark.parametrize("example", ["ex4_1", "ex2_1"])
     def test_nan_tol_exits_64_before_printing(self, capsys, example):
@@ -538,16 +548,43 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert "tol must be positive and finite" in captured.err
 
-    def test_one_omega_builds_the_dense_stack_three_times(self, monkeypatch, capsys):
-        # once each for the residual, A(w) of the complementarity check and
-        # the expected matrices; save is read off the residual's norm
+    def test_ev_builds_no_dense_stack(self, monkeypatch, capsys):
+        # the residual, the complementarity rows at omega and those of the
+        # expected matrices are read off one lift of the affine rows
         builds = counted_stack_builds(monkeypatch)
         code = main(["verify", "--example", "ex4_4", "--n", "300",
                      "--x", ",".join(["1"] * 300), "--ev"])
         assert code == 0
-        assert builds == [(2, 300, 300)] * 3
+        assert builds == []
         out = capsys.readouterr().out
         assert out.count("omega=") == 1 and "save=ok" in out
+        assert "expected matrices glcp=ok" in out
+
+    @pytest.mark.parametrize("source, x, extra, message", [
+        (["--example", "ex4_1"], "1,3,1", [], "x has length 3, expected 2"),
+        (["--example", "ex4_4", "--n", "300"], "1,1", ["--ev"], "x has length 2, expected 300"),
+        (["--example", "ex4_1"], "1,3", ["--omega", "0.5,0.5"], "omega has length 2"),
+        (["--example", "ex2_1"], "1,1,1,1", ["--omega", "0.5,0.5", "--ev"], "omega has length 2"),
+    ], ids=["x", "band-x", "omega", "scenario-omega"])
+    def test_malformed_input_exits_64_before_printing(self, capsys, source, x, extra,
+                                                      message):
+        assert main(["verify", *source, "--x", x, *extra]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"save-solve: error: {message}")
+        assert "Traceback" not in captured.err
+
+    def test_deterministic_problem_file_with_ev(self, tmp_path, capsys):
+        # m = 0: every point is the empty omega, the expected one included
+        doc = {"n": 2, "m": 0, "A_base": [[3.0, 1.0], [1.0, 4.0]], "A_terms": [],
+               "b_base": [3.0, 4.0], "b_terms": [], "distribution": {"kind": "uniform_box"}}
+        path = tmp_path / "deterministic.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", "--problem-file", str(path), "--x", "1,1", "--ev"]) == 0
+        assert capsys.readouterr().out == (
+            "omega=() residual_norm=0.000e+00 save=ok glcp=ok\n"
+            "expected matrices glcp=ok\n"
+        )
 
 
 class TestOracleCommand:

@@ -26,7 +26,6 @@ from savesolve import (
     solve,
 )
 from savesolve.core import (
-    _affine_adjoint,
     _affine_rows,
     _apply,
     _apply_adjoint,
@@ -178,14 +177,14 @@ class TestAffineStack:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(0, 3))
     def test_adjoint_is_the_transpose_of_the_rows(self, seed, n, m):
         # rows(x, d x) - rows(0, 0) = [A_j x] - e_0 (d x)^T is linear in x,
-        # and adjoint(S, d S_0) is its transpose applied to S
+        # and _apply_adjoint(S) - d S_0 is its transpose applied to S
         rng = np.random.default_rng(seed)
         problem, _ = random_stacks(rng, n, m)
         x, d = rng.uniform(-3.0, 3.0, n), rng.uniform(-1.0, 1.0, n)
         S = rng.uniform(-2.0, 2.0, (m + 1, n))
         rows = _affine_rows(problem, x, d * x) - _affine_rows(problem, np.zeros(n), 0.0)
         lhs = float(np.vdot(S, rows))
-        rhs = float(_affine_adjoint(problem, S, d * S[0]) @ x)
+        rhs = float((_apply_adjoint(problem, S) - d * S[0]) @ x)
         terms = np.abs(problem._A) @ np.abs(x) + 2.0 * np.abs(problem._b)
         terms[0] += np.abs(d * x)
         assert abs(lhs - rhs) <= 1e-12 * float(np.vdot(np.abs(S), terms))
@@ -288,7 +287,7 @@ class TestBandStorage:
         adjoint_scale = np.abs(S).ravel() @ np.abs(A).reshape(-1, n)
         assert np.all(np.abs(_affine_rows(problem, x, psi) - rows) <= 1e-14 * rows_scale)
         assert np.all(
-            np.abs(_affine_adjoint(problem, S, local) - adjoint) <= 1e-14 * adjoint_scale
+            np.abs((_apply_adjoint(problem, S) - local) - adjoint) <= 1e-14 * adjoint_scale
         )
 
     def test_classification(self):

@@ -27,7 +27,7 @@ from savesolve import (
     verify_glcp,
     verify_save,
 )
-from savesolve.ev import _ev_head, _EvRay
+from savesolve.ev import _ev_head, _EvRay, _verdicts
 
 from helpers import scalar_trial
 
@@ -489,6 +489,27 @@ class TestEvSolve:
         np.testing.assert_array_equal(report.x_final, x0)
 
 
+def verify_problem(rng, n, m, banded, x, noise):
+    """A random affine family, dense or built from three diagonals per
+    slice; with noise None b is random, else b(w) is A(w) x - |x| with b_base
+    off by up to noise in each entry, so x solves each equation up to it."""
+    offsets = (-1, 0, 1)
+    diagonals = [[rng.uniform(-2.0, 2.0, n - abs(off)) for off in offsets]
+                 for _ in range(m + 1)]
+    A = np.array([sum(np.diag(d, off) for off, d in zip(offsets, slice_diagonals))
+                  for slice_diagonals in diagonals])
+    if not banded:
+        A = rng.uniform(-2.0, 2.0, (m + 1, n, n))
+    if noise is None:
+        b = rng.uniform(-2.0, 2.0, (m + 1, n))
+    else:
+        b = A @ x
+        b[0] += rng.uniform(-noise, noise, n) - np.abs(x)
+    if banded:
+        return StochasticProblem.from_diagonals(offsets, diagonals, b[0], list(b[1:]))
+    return StochasticProblem(A[0], list(A[1:]), b[0], list(b[1:]))
+
+
 class TestVerification:
     def test_glcp_at_expected_solution(self, ev2_1):
         assert verify_glcp(ev2_1.A_bar, ev2_1.b_bar, np.ones(4), 1e-8)
@@ -505,6 +526,49 @@ class TestVerification:
 
     def test_glcp_rejects_violations(self, ev2_1):
         assert not verify_glcp(ev2_1.A_bar, ev2_1.b_bar, np.zeros(4), 1e-8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_path_matches_the_dense_oracles(self, data):
+        # random dense problems, banded ones past the cost rule's n and m = 0
+        # ones, at random points or near solutions; tol is drawn near one of
+        # the tested quantities, or fixed
+        banded = data.draw(st.booleans(), label="banded")
+        m = data.draw(st.integers(0, 2), label="m")
+        n = data.draw(st.integers(151 if m else 211, 400) if banded else st.integers(1, 8),
+                      label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.uniform(-3.0, 3.0, n)
+        noise = data.draw(st.sampled_from([None, 0.0, 1e-12, 1e-9, 1e-6, 1e-3]), label="noise")
+        problem = verify_problem(rng, n, m, banded, x, noise)
+        assert (problem._band is not None) == banded
+        points = rng.uniform(-1.0, 2.0, (data.draw(st.integers(1, 3), label="k"), m))
+        target = data.draw(st.sampled_from(["fixed", 0, 1, 2, 3]), label="target")
+        factor = data.draw(st.floats(0.25, 4.0), label="factor")
+        oracle = []
+        for w in points:
+            A, b = eval_A(problem, w), eval_b(problem, w)
+            u, v = A @ x + x - b, A @ x - x - b
+            scale = np.abs(A) @ np.abs(x) + np.abs(x) + np.abs(b)
+            quantities = [float(np.linalg.norm(residual(problem, x, w))),
+                          -float(u.min()), -float(v.min()), abs(float(u @ v))]
+            # rounding floors: the rows path sums A(w) x - b(w) in another order
+            floors = [1e-12 * float(np.linalg.norm(scale)), 1e-12 * float(scale.max()),
+                      1e-12 * float(scale.max()), 1e-12 * float(scale @ scale)]
+            oracle.append((A, b, quantities, floors))
+        q = abs(oracle[0][2][target]) if target != "fixed" else 0.0
+        tol = q * factor if q > 0.0 else 1e-8
+        verdicts = _verdicts(problem, x, points, tol)
+        assert len(verdicts) == len(points)
+        for w, (A, b, quantities, floors), (norm, ok_save, ok_glcp) in zip(
+                points, oracle, verdicts):
+            assert abs(norm - quantities[0]) <= 1e-12 * quantities[0] + floors[0]
+            near = [abs(tol - q) <= 1e-9 * abs(q) + f for q, f in zip(quantities, floors)]
+            if not near[0]:
+                assert ok_save == (quantities[0] <= tol) == verify_save(problem, x, w, tol)
+            if not any(near[1:]):
+                expected = all(q <= tol for q in quantities[1:])
+                assert ok_glcp == verify_glcp(A, b, x, tol) == expected
 
     def test_save_accepts_exact_solution(self):
         problem = builtin_example("ex4_1")
