@@ -2,7 +2,8 @@
 
 A run takes a problem, a sampler, a solver configuration, a starting-point
 policy and a route (sample-average minimization or the expected-value
-reduction) and produces one RunRecord plus the full per-iteration report.
+reduction) and produces one RunRecord plus the solve's report, whose trace
+keeps each iterate's scalars but not its point, so a run holds O(n).
 Tables print one row per record: the start and the solution to four decimals
 per coordinate (in .4e scientific notation from magnitude 1e6 on) and the
 objective in four-significant-digit scientific notation; traces are CSV with

@@ -193,7 +193,7 @@ def _cmd_run(args) -> int:
         except MemoryError as exc:  # a sample set too large to allocate
             raise ValueError(f"{'--N' if args.N else 'sampler count'}: {exc}") from None
         records.append(record)
-        # a report holds its O(iterations n) trace: keep only the one --trace writes
+        # keep only the report --trace writes, so a sweep holds one solve at a time
         last_report = report if args.trace else None
         del report
     print(emit_table(records, "aligned"), end="")

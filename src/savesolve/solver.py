@@ -109,10 +109,10 @@ class SolverConfig:
 class Iterate:
     """One trace row: objective is the smoothed value at this iterate's mu,
     objective_raw the mu = 0 value at the same point, step the accepted alpha
-    (0 for the starting row)."""
+    (0 for the starting row).  A row keeps no copy of the point, so a trace
+    is O(iterations) and a solve holds O(n + iterations)."""
 
     k: int
-    x: np.ndarray
     objective: float
     objective_raw: float
     grad_norm: float
@@ -251,7 +251,7 @@ def minimize_smoothed(
     trials = screened = 0
     backtracks, mu_shrinks = [], []
 
-    trace = [Iterate(0, x, f_cur, model.raw(x), gn, mu, 0.0)]
+    trace = [Iterate(0, f_cur, model.raw(x), gn, mu, 0.0)]
     k = 0
     while True:
         if not (math.isfinite(f_cur) and math.isfinite(gn)):
@@ -291,7 +291,7 @@ def minimize_smoothed(
             value_calls += 1
             gradient_calls += 1
             gn = float(np.linalg.norm(g))
-        trace.append(Iterate(k, x, f_cur, raw, gn, mu, alpha))
+        trace.append(Iterate(k, f_cur, raw, gn, mu, alpha))
 
     return SolveReport(
         x_final=x,
@@ -320,8 +320,8 @@ def solve(
 
     Stops when the smoothed gradient norm reaches cfg.epsilon (converged),
     the iteration cap is hit, the line search fails, or the objective or
-    gradient stops being finite; the full iterate trace is recorded either
-    way.  f_final is the unsmoothed objective at the final point.
+    gradient stops being finite; the iterate trace is recorded either way.
+    f_final is the unsmoothed objective at the final point.
     """
     F = samples._factor
     value = functools.partial(_erm_value, F[:, :1])

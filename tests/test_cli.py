@@ -456,8 +456,10 @@ class TestRunCommand:
         assert "error" not in capsys.readouterr().err
 
     def test_sweep_keeps_no_finished_report(self, capsys):
-        # each report holds an O(iterations n) trace, and the problem is
-        # O(n), so the sweep's peak is about one solve's
+        # the problem is O(n) and no trace row keeps a point, so one solve
+        # holds O(n + iterations) and the sweep's peak is about one solve's:
+        # 1.05 MB for N = 100, where the points of each trace row took it
+        # to 12.2 MB
         peaks = []
         for counts in ("100", "100,100,100"):
             tracemalloc.start()
@@ -468,6 +470,7 @@ class TestRunCommand:
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.5 * peaks[0]
+        assert max(peaks) < 4_000_000
 
     def test_solver_override_is_validated(self, capsys):
         code = main(["run", "--example", "ex4_1", "--rho", "1.5"])

@@ -17,6 +17,7 @@ from savesolve import (
     SolveStatus,
     SolverConfig,
     StochasticProblem,
+    UniformRandomStart,
     armijo_backtrack,
     builtin_example,
     generate,
@@ -208,6 +209,9 @@ class TestSolve:
         samples = generate(SamplerSpec("halton", count=20, dim=1), problem)
         cfg = SolverConfig()
         report = solve(problem, samples, [1.8, 0.4], cfg)
+        model, points = with_points(erm_model(problem, samples))
+        assert minimize_smoothed(model, [1.8, 0.4], cfg).trace == report.trace
+        points.append(report.x_final)
         trace = report.trace
         assert trace[0].k == 0 and trace[0].step == 0.0
         assert [it.k for it in trace] == list(range(len(trace)))
@@ -227,7 +231,7 @@ class TestSolve:
         # mu shrinks exactly when the fresh-iterate gradient test fails
         for prev, cur in zip(trace, trace[1:]):
             gn = np.linalg.norm(
-                smoothed_gradient(problem, samples, cur.x, prev.mu)
+                smoothed_gradient(problem, samples, points[cur.k], prev.mu)
             )
             if gn >= cfg.gamma_bar * prev.mu:
                 assert cur.mu == prev.mu
@@ -239,11 +243,14 @@ class TestSolve:
         # one plus the accepted step along the negative gradient there
         problem = builtin_example("ex4_2")
         samples = generate(SamplerSpec("halton", count=25, dim=1), problem)
-        report = solve(problem, samples, [1.3, 0.4, 1.9, 0.2], SolverConfig())
-        assert report.iterations > 10
+        model, points = with_points(erm_model(problem, samples))
+        report = minimize_smoothed(model, [1.3, 0.4, 1.9, 0.2], SolverConfig())
+        assert report.iterations > 10 and len(points) == report.iterations
+        points.append(report.x_final)
         for prev, cur in zip(report.trace, report.trace[1:]):
-            d = -smoothed_gradient(problem, samples, prev.x, prev.mu)
-            assert cur.x.tobytes() == (prev.x + cur.step * d).tobytes()
+            x = points[prev.k]
+            d = -smoothed_gradient(problem, samples, x, prev.mu)
+            assert points[cur.k].tobytes() == (x + cur.step * d).tobytes()
 
     def test_stationarity_at_convergence(self):
         problem = builtin_example("ex4_2")
@@ -328,6 +335,21 @@ class TestSolve:
         # a table of 10**6 + 1 steps alone would take 32 MB
         assert peak < 1_000_000
 
+    def test_solve_holds_o_of_n(self):
+        # ex4_4 at n = 10000 over Halton N = 10, capped at 200 iterations,
+        # peaks at 1.7 MB; a copy of x in every trace row took it to 17.7 MB
+        problem = builtin_example("ex4_4", 10000)
+        samples = generate(SamplerSpec("halton", count=10, dim=1), problem)
+        x0 = UniformRandomStart(seed=1).resolve(problem.n)
+        tracemalloc.start()
+        try:
+            report = solve(problem, samples, x0, SolverConfig(max_iter=200))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.status is SolveStatus.ITERATION_CAP and report.iterations == 200
+        assert peak < 8_000_000
+
     def test_floor_stall_stops_at_the_bound_underflow(self):
         # the ex4_1 stall at the floating-point floor: the last search's
         # bound rounds to zero near j = 990, so any larger cap consumes
@@ -395,6 +417,18 @@ def ev_model(inst):
         lambda z: ev_objective(inst, z, 0.0),
         lambda z, d: _EvRay(inst, z, d),
     )
+
+
+def with_points(model):
+    """model with its rays' starts recorded: after a solve, points[k] is
+    iterate k for every k below the report's iterations."""
+    points = []
+
+    def ray(z, d):
+        points.append(z)
+        return model.ray(z, d)
+
+    return model._replace(ray=ray), points
 
 
 def scenario_instance(n, k, seed):
