@@ -77,9 +77,9 @@ def _parse_counts(text: str) -> list[int]:
     try:
         counts = [int(c) for c in text.split(",") if c.strip() != ""]
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}")
+        raise ValueError(f"--N: expected comma-separated integers, got {text!r}")
     if not counts:
-        raise ValueError("at least one sample count is required")
+        raise ValueError("--N: at least one sample count is required")
     return counts
 
 

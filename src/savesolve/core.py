@@ -39,13 +39,16 @@ linear in x, so one line-search ray, _Ray, serves both routes: it forms
 W L(x) and W (_A d) once, and each trial at x + alpha d is their combination
 passed to the route's one value formula, with no n x n product.  Every
 value formula takes a leading axis of trials and sums each row's squares
-with one BLAS dot (_sumsq), so a row is bitwise the trial alone, and a lone
-value, the objective at x or a step's mu = 0 value read off its stored
-block row, is a block of one.  The ray evaluates a block of several steps
-alpha in one set of numpy calls, capped by a fixed cost rule on the lift's
-size.  The search hands each block its Armijo test, so a route's ray may
-reject a block on lower bounds read off part of the lift, unevaluated: ev's
-ray does, over the expected row of its lift (ev._EvRay).
+with _dot, so a row is bitwise the trial alone, and a lone value, the
+objective at x or a step's mu = 0 value read off its stored block row, is a
+block of one.  _dot owns the order of every inner product, the solver's
+too: one BLAS dot per row of up to 10000 entries, past which OpenBLAS was
+measured to split a dot over its threads, else a fixed sum of its chunks.
+The ray evaluates a block of several steps alpha in one set of numpy
+calls, capped by a fixed cost rule on the lift's size.  The search hands
+each block its Armijo test, so a route's ray may reject a block on lower
+bounds read off part of the lift, unevaluated: ev's ray does, over the
+expected row of its lift (ev._EvRay).
 
 All operations are pure functions of their inputs; problem and sample objects
 are treated as read-only after construction, so they are safe to share across
@@ -511,18 +514,30 @@ def _affine_rows(problem, x, psi):
     return R
 
 
-def _sumsq(V):
-    """The sum of squares of each row V[j]'s entries, one BLAS dot per row,
-    bitwise np.vdot(V[j], V[j])."""
-    R = V.reshape(len(V), 1, -1)
-    return (R @ R.transpose(0, 2, 1)).ravel()
+# OpenBLAS splits a dot of more than 10000 entries over its threads, in an
+# order that follows their count: measured with OpenBLAS 0.3.31, np.vdot of
+# random rows is bitwise equal at 1 and 2 threads at 10000 entries, not 10001
+_DOT_ENTRIES = 10_000
+
+
+def _dot(U, V):
+    """The inner product of each row U[j] with V[j] over the leading axis, in
+    one order at any thread count: bitwise np.vdot(U[j], V[j]) up to
+    _DOT_ENTRIES entries, else the left-to-right sum of the vdots of its
+    _DOT_ENTRIES-entry chunks (sum's start 0 is exact: no vdot is -0.0)."""
+    U, V = U.reshape(len(U), 1, -1), V.reshape(len(V), -1, 1)
+    if U.shape[2] <= _DOT_ENTRIES:  # a single chunk: one BLAS dot per row
+        return (U @ V).ravel()
+    return sum(_dot(U[..., s:s + _DOT_ENTRIES], V[:, s:s + _DOT_ENTRIES])
+               for s in range(0, U.shape[2], _DOT_ENTRIES))
 
 
 def _erm_value(F0, Y, z, mu):
     """smoothed_objective at each trial point z[t] over its lifted rows Y[t]
     = F L(z[t]): ||Y[t] - F0 smooth_abs(z[t], mu)||_F^2, as psi enters row 0
     of L and F0 = F[:, :1]."""
-    return _sumsq(Y - F0 * smooth_abs(z, mu)[:, None, :])
+    E = Y - F0 * smooth_abs(z, mu)[:, None, :]
+    return _dot(E, E)
 
 
 # A block of trials pays numpy's per-call overhead once for all its rows,

@@ -49,10 +49,10 @@ from .core import (
     _apply_adjoint,
     _check_kink,
     _check_vector,
+    _dot,
     _lift,
     _points_array,
     _Ray,
-    _sumsq,
     eval_A,
     eval_b,
     smooth_abs,
@@ -189,14 +189,15 @@ def _ev_sum(head, tail_G, tail_H):
 def _ev_head(Y0, z, mu):
     """vdot(phi, phi) of the expected row at each trial point z[t], over its
     lifted row Y0[t]: the only part of ev's value that depends on mu."""
-    return _sumsq(_fb_parts(Y0 + z, Y0 - z, mu)[1])
+    phi = _fb_parts(Y0 + z, Y0 - z, mu)[1]
+    return _dot(phi, phi)
 
 
 def _ev_tails(Ys, z):
     """(tail_G, tail_H) per trial t, the vdot of min(0, .) of the scenario
     constraint rows Ys[t] + z[t] and Ys[t] - z[t]: nonnegative, or NaN."""
-    z = z[:, None, :]
-    return _sumsq(np.minimum(0.0, Ys + z)), _sumsq(np.minimum(0.0, Ys - z))
+    G, H = np.minimum(0.0, Ys + z[:, None]), np.minimum(0.0, Ys - z[:, None])
+    return _dot(G, G), _dot(H, H)
 
 
 class _EvRay(_Ray):
@@ -295,7 +296,8 @@ def _glcp_ok(r, x, tol: float) -> bool:
     """The complementarity test for r = A x - b: its rows r + x = (A + I) x - b
     and r - x = (A - I) x - b are >= -tol and orthogonal within tol."""
     u, v = r + x, r - x
-    return bool(u.min() >= -tol and v.min() >= -tol and abs(float(u @ v)) <= tol)
+    return bool(u.min() >= -tol and v.min() >= -tol
+                and abs(_dot(u[None], v[None])[0]) <= tol)
 
 
 def _verdicts(problem: StochasticProblem, x, points, tol: float) -> list:
@@ -307,7 +309,8 @@ def _verdicts(problem: StochasticProblem, x, points, tol: float) -> list:
     points = np.array([_check_vector(w, problem.m, "omega") for w in points])
     tol = _check_tol(tol)
     R = _lift(points) @ _affine_rows(problem, x, 0.0)
-    norms = [float(np.linalg.norm(r - np.abs(x))) for r in R]
+    D = R - np.abs(x)
+    norms = np.sqrt(_dot(D, D)).tolist()
     return [(norm, norm <= tol, _glcp_ok(r, x, tol)) for norm, r in zip(norms, R)]
 
 

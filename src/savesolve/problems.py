@@ -203,7 +203,7 @@ def problem_from_dict(data) -> StochasticProblem:
             if not isinstance(sc, dict) or "omega" not in sc or "p" not in sc:
                 raise ProblemFormatError(f"{label}: expected omega and p fields")
             omegas.append(_array_field(sc["omega"], f"{label}.omega", (m,)))
-            probs.append(_array_field(sc["p"], f"{label}.p"))
+            probs.append(_array_field(sc["p"], f"{label}.p", ()))
         distribution = _built(
             "distribution.scenarios", lambda: FiniteScenarios(np.array(omegas), probs)
         )

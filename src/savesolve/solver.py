@@ -43,6 +43,7 @@ from .core import (
     SampleSet,
     StochasticProblem,
     _check_int,
+    _dot,
     _erm_value,
     _Ray,
     erm_objective,
@@ -243,10 +244,15 @@ def minimize_smoothed(
     if not np.all(np.isfinite(x)):
         raise ValueError("starting point must be finite")
 
+    def gradient(z, mu):
+        """g = model.gradient(z, mu), its one inner product gg = g^T g and ||g||."""
+        g = model.gradient(z, mu)
+        gg = float(_dot(g[None], g[None])[0])
+        return g, gg, math.sqrt(gg)
+
     mu = cfg.mu0
     f_cur = model.value(x, mu)
-    g = model.gradient(x, mu)
-    gn = float(np.linalg.norm(g))
+    g, gg, gn = gradient(x, mu)
     value_calls = gradient_calls = 1
     trials = screened = 0
     backtracks, mu_shrinks = [], []
@@ -264,7 +270,7 @@ def minimize_smoothed(
             status = SolveStatus.ITERATION_CAP
             break
         d = -g
-        slope = float(g @ d)
+        slope = -gg
         ray = model.ray(x, d)
         try:
             j, alpha, f_new, raw = armijo_backtrack(ray, mu, f_cur, slope, cfg)
@@ -277,20 +283,18 @@ def minimize_smoothed(
         screened += ray.screened
         backtracks.append(j)
         x = x + alpha * d
-        g_new = model.gradient(x, mu)
+        g_new, gg_new, gn_new = gradient(x, mu)
         gradient_calls += 1
-        gn_new = float(np.linalg.norm(g_new))
         k += 1
         if gn_new >= cfg.gamma_bar * mu:
-            f_cur, g, gn = f_new, g_new, gn_new
+            f_cur, g, gg, gn = f_new, g_new, gg_new, gn_new
         else:
             mu = cfg.sigma * mu
             mu_shrinks.append(k)
             f_cur = model.value(x, mu)
-            g = model.gradient(x, mu)
+            g, gg, gn = gradient(x, mu)
             value_calls += 1
             gradient_calls += 1
-            gn = float(np.linalg.norm(g))
         trace.append(Iterate(k, f_cur, raw, gn, mu, alpha))
 
     return SolveReport(

@@ -308,8 +308,8 @@ class TestRunCommand:
         capsys.readouterr()
         for extra, message in [
             (["--x0-lo", "2", "--x0-hi", "1"], "hi > lo"),
-            (["--N", ","], "at least one sample count"),
-            (["--N", "abc"], "comma-separated integers"),
+            (["--N", ","], "--N: at least one sample count"),
+            (["--N", "10,abc"], "--N: expected comma-separated integers"),
             (["--sampler", "pseudorandom", "--seed", str(2**64)], "64-bit"),
         ]:
             assert main(["run", "--example", "ex4_1", *extra]) == 64
@@ -377,7 +377,7 @@ class TestRunCommand:
             (
                 {"distribution": {"kind": "finite_scenarios",
                                   "scenarios": [{"omega": [0.0], "p": [0.5, 0.5]}]}},
-                "1 points but 2 scenario probabilities",
+                "scenarios[0].p",
             ),
         ],
     )
@@ -657,8 +657,10 @@ class TestEntryPoints:
 
 
 class TestDeterminism:
-    def test_output_independent_of_blas_threads(self, tmp_path):
-        # n = 1200 is large enough that OpenBLAS really runs the second thread
+    @staticmethod
+    def runs_at_one_and_two_threads(tmp_path, args):
+        """(exit code, stdout without time=, table, trace) of run args at 1
+        and at 2 BLAS threads."""
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"table{threads}.csv"
@@ -667,14 +669,31 @@ class TestDeterminism:
                 os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads
             )
             proc = subprocess.run(
-                [sys.executable, "-m", "savesolve", "run", "--example", "ex4_4",
-                 "--n", "1200", "--N", "50", "--max-iter", "50", "--x0-seed", "3",
+                [sys.executable, "-m", "savesolve", "run", *args,
                  "--out", str(out), "--trace", str(trace)],
                 capture_output=True,
                 env=env,
             )
-            outputs.append((proc.returncode, out.read_bytes(), trace.read_bytes()))
-        assert outputs[0] == outputs[1]
+            stdout = re.sub(rb"time=\S+", b"", proc.stdout)
+            outputs.append((proc.returncode, stdout, out.read_bytes(), trace.read_bytes()))
+        return outputs
+
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        # n = 1200 is large enough that OpenBLAS really runs the second thread
+        one, two = self.runs_at_one_and_two_threads(
+            tmp_path, ["--example", "ex4_4", "--n", "1200", "--N", "50",
+                       "--max-iter", "50", "--x0-seed", "3"])
+        assert one == two
+
+    @pytest.mark.parametrize("route", [["--N", "10"], ["--route", "ev"]])
+    def test_rows_past_the_blas_split_are_independent_of_threads(self, tmp_path, route):
+        # at n = 12000 the gradient, the ev rows and the erm lift's rows
+        # (24000 entries) are longer than the 10000 entries at which
+        # OpenBLAS splits a dot over its threads, so each is summed in chunks
+        one, two = self.runs_at_one_and_two_threads(
+            tmp_path, ["--example", "ex4_4", "--n", "12000", *route,
+                       "--x0-seed", "1", "--max-iter", "50"])
+        assert one == two
 
 
 def readme_command_line() -> str:

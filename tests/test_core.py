@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -30,10 +31,10 @@ from savesolve.core import (
     _apply,
     _apply_adjoint,
     _bandwidths,
+    _dot,
     _erm_value,
     _max_band_width,
     _Ray,
-    _sumsq,
 )
 from savesolve.ev import _EvRay, ev_gradient, ev_objective, expected_instance
 from savesolve.problems import problem_from_dict
@@ -898,27 +899,57 @@ class TestErmRay:
             assert ray.size == size
 
 
+def chunked_vdot(u, v, chunk=10_000):
+    """np.vdot of u and v for up to chunk entries, else the left-to-right
+    sum of the np.vdot of their consecutive chunk-entry pieces."""
+    total = np.vdot(u[:chunk], v[:chunk])
+    for s in range(chunk, u.size, chunk):
+        total = total + np.vdot(u[s:s + chunk], v[s:s + chunk])
+    return total
+
+
 class TestBlockSums:
-    """The value formulas' per-row sums of squares, one BLAS dot per row,
-    against np.vdot of each row alone on the installed numpy: every value,
-    a block of one included, is such a sum."""
+    """The value formulas' per-row inner products, _dot, against np.vdot on
+    the installed numpy: one vdot for a row of up to 10000 entries, the
+    left-to-right sum of the vdots of its 10000-entry chunks past that, so
+    that no row is ever handed to BLAS in a piece its threads would split.
+    Every value, a block of one included, is such a sum."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), J=st.integers(1, 12),
            shape=st.one_of(st.tuples(st.integers(0, 3000)),
                            st.tuples(st.integers(1, 50), st.integers(0, 300))))
-    # the tails of ev_scenarios' 41 x 250 lift, and ex4_4's erm lift at
-    # n = 100000, in a block of one and in a full block
+    # the tails of ev_scenarios' 41 x 250 lift, ex4_4's erm lift at n = 5000
+    # (one whole chunk), and at n = 100000 (twenty chunks), each in a block
+    # of one and in a full block
     @example(seed=1, J=1, shape=(40, 250))
     @example(seed=2, J=12, shape=(40, 250))
+    @example(seed=5, J=1, shape=(2, 5000))
+    @example(seed=6, J=12, shape=(2, 5000))
     @example(seed=3, J=1, shape=(2, 100_000))
     @example(seed=4, J=12, shape=(2, 100_000))
     def test_rows_are_vdot_bitwise(self, seed, J, shape):
         rng = np.random.default_rng(seed)
-        V = rng.standard_normal((J, *shape)) * 10.0 ** rng.uniform(-3, 3, (J,) + (1,) * len(shape))
-        got = _sumsq(V)
-        want = np.array([np.vdot(row, row) for row in V])
-        assert got.tobytes() == want.tobytes()
+        scale = 10.0 ** rng.uniform(-3, 3, (J,) + (1,) * len(shape))
+        V = rng.standard_normal((J, *shape)) * scale
+        W = rng.standard_normal((J, *shape)) * scale
+        for U in (V, W):
+            got = _dot(V, U)
+            want = np.array([chunked_vdot(v.ravel(), u.ravel()) for v, u in zip(V, U)])
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10_000))
+    @example(seed=7, n=10_000)
+    def test_gradient_product_is_numpy_slope_and_norm_bitwise(self, seed, n):
+        # minimize_smoothed's one inner product per gradient, gg = g^T g: its
+        # slope -gg was g @ -g and its sqrt np.linalg.norm(g), so at up to
+        # 10000 entries every iterate is the one those two dots gave
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        gg = float(_dot(g[None], g[None])[0])
+        assert (-gg).hex() == float(g @ -g).hex()
+        assert math.sqrt(gg).hex() == float(np.linalg.norm(g)).hex()
 
 
 class TestSampleMoments:

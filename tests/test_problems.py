@@ -36,6 +36,12 @@ VALID_DOC = {
 }
 
 
+def scenarios(p0, p1):
+    """A finite_scenarios distribution block of two scenarios whose p are p0, p1."""
+    return {"kind": "finite_scenarios",
+            "scenarios": [{"omega": [0.0], "p": p0}, {"omega": [1.0], "p": p1}]}
+
+
 @st.composite
 def any_problem(draw):
     n, m = draw(st.integers(1, 5)), draw(st.integers(0, 3))
@@ -158,6 +164,11 @@ class TestProblemDocuments:
             (lambda d: d.update(distribution={"kind": "gaussian"}), "kind"),
             (lambda d: d.update(extra=1), "extra"),
             (lambda d: d.pop("b_base"), "b_base"),
+            # a p of one shape in every scenario was read as its number, and
+            # mixed shapes failed with numpy's message, naming no field
+            (lambda d: d.update(distribution=scenarios([0.5], [0.5])), r"scenarios\[0\]\.p"),
+            (lambda d: d.update(distribution=scenarios([[0.5]], [[0.5]])), r"scenarios\[0\]\.p"),
+            (lambda d: d.update(distribution=scenarios([0.5], 0.5)), r"scenarios\[0\]\.p"),
         ],
     )
     def test_malformed_documents_name_the_field(self, mutate, field):
