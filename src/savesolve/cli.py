@@ -136,15 +136,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flagged(flag: str, make):
+    """make(), a value it refuses or cannot allocate reported as flag's error."""
+    try:
+        return make()
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _load_problem(args):
     if args.problem_file is not None:
         if args.n is not None:
             raise ValueError("--n applies only to --example ex4_4, not to --problem-file")
         return load_problem_file(args.problem_file)
-    try:
-        return builtin_example(args.example, n=args.n), None, None
-    except MemoryError as exc:  # a dimension too large to allocate
-        raise ValueError(f"--n: {exc}") from None
+    return _flagged("--n", lambda: builtin_example(args.example, n=args.n)), None, None
 
 
 def _override(base, **flags):
@@ -161,11 +166,17 @@ def _cmd_run(args) -> int:
     problem, file_cfg, file_sampler = _load_problem(args)
     solver_flags = {name: getattr(args, dest) for dest, name in _SOLVER_FLAGS.items()}
     cfg = _override(file_cfg or SolverConfig(), **solver_flags)
-    sampler = _override(file_sampler or SamplerSpec(dim=problem.m),
-                        kind=args.sampler, seed=args.seed, offset=args.offset)
+    sampler = _override(file_sampler or SamplerSpec(dim=problem.m), kind=args.sampler)
+    sampler = _flagged("--seed", lambda: _override(sampler, seed=args.seed))
+    sampler = _flagged("--offset", lambda: _override(sampler, offset=args.offset))
     if args.N is not None and sampler.kind == "scenarios":
         raise ValueError("--N: the scenarios sampler emits every scenario once")
     counts = _parse_counts(args.N) if args.N is not None else [sampler.count]
+    specs = [_flagged("--N", lambda: dataclasses.replace(sampler, count=c)) for c in counts]
+    last = sampler.offset + max(counts)
+    if args.offset is not None and sampler.kind == "halton" and last >= 2**63:
+        raise ValueError("--offset: offset + count must be below 2**63, "
+                         f"got offset {args.offset}")
     if args.trace and len(counts) > 1:
         raise ValueError("--trace expects a single --N value")
     if args.x0 is not None:
@@ -180,11 +191,11 @@ def _cmd_run(args) -> int:
         )
     example_id = args.example or args.problem_file
     records = []
-    for count in counts:
+    for spec in specs:
         try:
             record, report = run_experiment(
                 problem,
-                dataclasses.replace(sampler, count=count),
+                spec,
                 cfg,
                 policy,
                 args.route,
@@ -245,10 +256,8 @@ def _cmd_oracle(args) -> int:
     if args.qmc is not None:
         # drawn before the first print, so a count that cannot be drawn is refused first
         problem = as_save_problem(inst)
-        try:
-            samples = generate(SamplerSpec("halton", count=args.qmc, dim=inst.m), problem)
-        except (ValueError, MemoryError) as exc:
-            raise ValueError(f"--qmc: {exc}") from None
+        samples = _flagged("--qmc", lambda: generate(
+            SamplerSpec("halton", count=args.qmc, dim=inst.m), problem))
     value = exact_objective(inst, x)
     print(f"exact objective: {value:.12g}")
     if args.qmc is not None:

@@ -13,6 +13,7 @@ import pytest
 
 from savesolve import StochasticProblem
 from savesolve.cli import build_parser, main
+from savesolve.core import _CHUNK_ROWS
 from savesolve.problems import builtin_example, problem_to_dict
 
 from helpers import counted_stack_builds, scenario_document
@@ -310,7 +311,14 @@ class TestRunCommand:
             (["--x0-lo", "2", "--x0-hi", "1"], "hi > lo"),
             (["--N", ","], "--N: at least one sample count"),
             (["--N", "10,abc"], "--N: expected comma-separated integers"),
-            (["--sampler", "pseudorandom", "--seed", str(2**64)], "64-bit"),
+            (["--sampler", "pseudorandom", "--seed", str(2**64)],
+             "--seed: seed must fit in an unsigned 64-bit integer"),
+            (["--N", "0"], "--N: count must be at least 1, got 0"),
+            (["--N", "10,0"], "--N: count must be at least 1, got 0"),
+            (["--seed", "-1"], "--seed: seed must be at least 0, got -1"),
+            (["--offset", "-1"], "--offset: offset must be at least 0, got -1"),
+            (["--N", "10", "--offset", str(2**63 - 10)],
+             "--offset: offset + count must be below 2**63"),
         ]:
             assert main(["run", "--example", "ex4_1", *extra]) == 64
             assert message in capsys.readouterr().err
@@ -694,6 +702,30 @@ class TestDeterminism:
             tmp_path, ["--example", "ex4_4", "--n", "12000", *route,
                        "--x0-seed", "1", "--max-iter", "50"])
         assert one == two
+
+    def test_oracle_over_three_chunks_is_independent_of_threads(self, tmp_path):
+        # a sample set of three chunks sums its moments in one fixed order
+        rng = np.random.default_rng(5)
+        n, m = 6, 3
+        T = np.zeros((n, m))
+        T[np.arange(n), rng.integers(0, m, n)] = rng.uniform(0.5, 2.0, n)
+        A = rng.uniform(-1.0, 1.0, (n, n)) + 3.0 * np.eye(n)
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(
+            {"A": A.tolist(), "b_tilde": rng.uniform(-1.0, 1.0, n).tolist(), "T": T.tolist()}
+        ), encoding="utf-8")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "savesolve", "oracle", "--case2-file", str(path),
+                 "--x", "1,0.5,-1,2,0,1", "--qmc", str(3 * _CHUNK_ROWS)],
+                capture_output=True,
+                env=env,
+            )
+            outputs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and b"halton estimate (N=49152)" in outputs[0][1]
 
 
 def readme_command_line() -> str:

@@ -27,6 +27,7 @@ from savesolve import (
     solve,
 )
 from savesolve.core import (
+    _CHUNK_ROWS,
     _affine_rows,
     _apply,
     _apply_adjoint,
@@ -1007,3 +1008,38 @@ class TestSampleMoments:
         report = solve(problem, samples, np.zeros(20))
         assert report.iterations > 10
         assert calls == [(2, 2)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        N=st.one_of(st.integers(1, 64), st.sampled_from([_CHUNK_ROWS - 1, _CHUNK_ROWS]),
+                    st.integers(1, _CHUNK_ROWS)),
+        m=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        scenario_like=st.booleans(),
+    )
+    def test_one_chunk_is_one_gemm_bitwise(self, N, m, seed, scenario_like):
+        rng = np.random.default_rng(seed)
+        if scenario_like:
+            # scenario points: negative, zero and signed-zero coordinates,
+            # weights count * p_i
+            points = rng.choice([-2.0, -0.5, -0.0, 0.0, 1.0, 3.0], (N, m))
+            p = rng.uniform(0.1, 1.0, N)
+            weights = N * (p / p.sum())
+        else:
+            points, weights = rng.random((N, m)), np.ones(N)
+        U = np.concatenate([np.ones((N, 1)), points], axis=1)
+        expected = (U.T * weights) @ U / N
+        assert SampleSet(points, weights)._moments.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("N", [_CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 5, 3 * _CHUNK_ROWS])
+    def test_chunked_moments_match_exact_sums(self, N):
+        # Halton-like points in [0, 1) and positive weights: no cancellation,
+        # so each entry is within a few roundings of its exact sum
+        rng = np.random.default_rng(N)
+        points, weights = rng.random((N, 3)), rng.uniform(0.5, 1.5, N)
+        U = np.concatenate([np.ones((N, 1)), points], axis=1)
+        moments = SampleSet(points, weights)._moments
+        for i in range(4):
+            for j in range(4):
+                exact = math.fsum(weights * U[:, i] * U[:, j]) / N
+                assert abs(moments[i, j] - exact) <= 1e-14 * exact

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from savesolve import (
     SamplerSpec,
+    StochasticProblem,
     builtin_example,
     generate,
     halton_points,
     radical_inverse,
 )
+from savesolve.core import _CHUNK_ROWS
+from savesolve.sampling import _TABLE_ENTRIES
 
 
 def scalar_radical_inverse(index, base):
@@ -184,6 +187,26 @@ class TestHalton:
         points = halton_points(count, 3, offset)
         assert points.tobytes() == vector_halton(count, 3, offset).tobytes()
 
+    @pytest.mark.parametrize("offset", [0, 12345, 2**62])
+    @pytest.mark.parametrize("count", [
+        _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 5,
+    ])
+    def test_chunk_boundaries_match_per_digit_loop_bitwise(self, count, offset):
+        points = halton_points(count, 3, offset)
+        assert points.tobytes() == vector_halton(count, 3, offset).tobytes()
+
+    @pytest.mark.parametrize("base", [2, 3, 5])
+    @pytest.mark.parametrize("past", [-1, 0, 1])
+    def test_last_index_at_capped_table_period(self, base, past):
+        # 2 * count passes _TABLE_ENTRIES, so the cap ends each column's table
+        # at its largest period within the cap, and the last index sits just
+        # below, on or past base times that period
+        count = _TABLE_ENTRIES // 2 + 1
+        period = base ** int(math.log(_TABLE_ENTRIES + 0.5, base))
+        offset = base * period + past - count
+        points = halton_points(count, 3, offset)
+        assert points.tobytes() == vector_halton(count, 3, offset).tobytes()
+
     def test_numpy_unsigned_offset(self):
         np.testing.assert_array_equal(halton_points(3, 2, np.uint64(5)), halton_points(3, 2, 5))
 
@@ -254,6 +277,19 @@ class TestGenerate:
         problem = builtin_example("ex4_1")
         with pytest.raises(ValueError, match="dimension"):
             generate(SamplerSpec("halton", count=8, dim=2), problem)
+
+    def test_building_a_set_holds_its_points_plus_a_chunk(self):
+        problem = StochasticProblem(np.eye(2), [np.eye(2)] * 3, np.ones(2), [np.ones(2)] * 3)
+        spec = SamplerSpec("halton", 131072, 3)
+        tracemalloc.start()
+        try:
+            generate(spec, problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the points and weights take 4 MiB; full-length index, lift and
+        # weighted-lift arrays would take the peak to 12.1 MiB
+        assert peak < 6 * 2**20
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="kind"):
