@@ -54,7 +54,7 @@ from .problems import (
     problem_from_dict,
     problem_to_dict,
 )
-from .sampling import SamplerSpec, generate, halton_points, radical_inverse
+from .sampling import SamplerSpec, generate, halton_points
 from .solver import (
     Iterate,
     LineSearchError,

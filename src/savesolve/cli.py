@@ -38,7 +38,7 @@ from .problems import (
     load_case2_file,
     load_problem_file,
 )
-from .sampling import KINDS, SamplerSpec, generate
+from .sampling import READS, SamplerSpec, _last_index, generate
 from .solver import SolveStatus, SolverConfig
 
 EXIT_OK = 0
@@ -83,6 +83,8 @@ def _parse_counts(text: str) -> list[int]:
     return counts
 
 
+# sampler flag dest -> the SamplerSpec field it sets
+_SAMPLER_FLAGS = {"N": "count", "seed": "seed", "offset": "offset"}
 # solver flag dest -> SolverConfig field; a flag's type is its field's default's
 _SOLVER_FLAGS = {
     "mu0": "mu0", "epsilon": "epsilon", "rho": "rho_backtrack", "sigma": "sigma",
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--route", choices=ROUTES, default="erm")
     # the sampler, start and solver flags default to None: a flag left out
     # takes the problem file's value, if any, else the default of its type
-    run.add_argument("--sampler", choices=KINDS)
+    run.add_argument("--sampler", choices=tuple(READS))
     run.add_argument("--N", help="sample count, or a comma list for several runs")
     run.add_argument("--seed", type=int, help="pseudorandom sampler seed")
     run.add_argument("--offset", type=int, help="halton index offset")
@@ -152,6 +154,13 @@ def _load_problem(args):
     return _flagged("--n", lambda: builtin_example(args.example, n=args.n)), None, None
 
 
+def _refuse_unread(args, dests, why: str) -> None:
+    """Refuse every flag among dests that was given, since the run would not read it."""
+    given = ["--" + d.replace("_", "-") for d in dests if getattr(args, d) is not None]
+    if given:
+        raise ValueError(f"{', '.join(given)}: {why}")
+
+
 def _override(base, **flags):
     """base with each field whose command-line flag was given set to it."""
     given = {name: value for name, value in flags.items() if value is not None}
@@ -159,31 +168,27 @@ def _override(base, **flags):
 
 
 def _cmd_run(args) -> int:
-    sampler_flags = ("sampler", "N", "seed", "offset")
-    given = [f"--{f}" for f in sampler_flags if getattr(args, f) is not None]
-    if args.route == "ev" and given:
-        raise ValueError(f"{', '.join(given)}: the ev route draws no samples")
+    if args.route == "ev":
+        _refuse_unread(args, ("sampler", *_SAMPLER_FLAGS), "the ev route draws no samples")
     problem, file_cfg, file_sampler = _load_problem(args)
     solver_flags = {name: getattr(args, dest) for dest, name in _SOLVER_FLAGS.items()}
     cfg = _override(file_cfg or SolverConfig(), **solver_flags)
     sampler = _override(file_sampler or SamplerSpec(dim=problem.m), kind=args.sampler)
     sampler = _flagged("--seed", lambda: _override(sampler, seed=args.seed))
     sampler = _flagged("--offset", lambda: _override(sampler, offset=args.offset))
-    if args.N is not None and sampler.kind == "scenarios":
-        raise ValueError("--N: the scenarios sampler emits every scenario once")
     counts = _parse_counts(args.N) if args.N is not None else [sampler.count]
     specs = [_flagged("--N", lambda: dataclasses.replace(sampler, count=c)) for c in counts]
-    last = sampler.offset + max(counts)
-    if args.offset is not None and sampler.kind == "halton" and last >= 2**63:
-        raise ValueError("--offset: offset + count must be below 2**63, "
-                         f"got offset {args.offset}")
+    reads = READS[sampler.kind] if args.route == "erm" else ()
+    _refuse_unread(args, [d for d, f in _SAMPLER_FLAGS.items() if f not in reads],
+                   f"not read by the {sampler.kind} sampler")
+    if "offset" in reads:  # before the first solve, named after what set offset + count
+        source = "--offset" if args.offset is not None else "--N" if args.N else "sampler"
+        _flagged(source, lambda: _last_index(max(counts), sampler.offset))
     if args.trace and len(counts) > 1:
         raise ValueError("--trace expects a single --N value")
     if args.x0 is not None:
-        drawn = [f"--{f}" for f in ("x0-seed", "x0-lo", "x0-hi")
-                 if getattr(args, f.replace("-", "_")) is not None]
-        if drawn:
-            raise ValueError(f"{', '.join(drawn)}: --x0 gives the start, so none is drawn")
+        _refuse_unread(args, ("x0_seed", "x0_lo", "x0_hi"),
+                       "--x0 gives the start, so none is drawn")
         policy = GivenStart(tuple(_parse_floats(args.x0, "--x0")))
     else:
         policy = _override(

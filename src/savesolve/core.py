@@ -120,6 +120,12 @@ def _positive_weights(w, count: int, what: str) -> np.ndarray:
     return w
 
 
+def _check_dim(points: np.ndarray, m: int, what: str) -> None:
+    """Refuse a (count, dim) points array whose dim is not m."""
+    if points.shape[1] != m:
+        raise ValueError(f"{what} have dimension {points.shape[1]}, expected {m}")
+
+
 def _check_int(value, name: str, minimum: int) -> None:
     """Reject anything but an int or numpy integer >= minimum; a bool or a
     float with an integral value is not an integer here."""
@@ -257,11 +263,7 @@ class StochasticProblem:
         if m != len(b_terms):
             raise ValueError(f"{m} A_terms but {len(b_terms)} b_terms")
         if isinstance(distribution, FiniteScenarios):
-            if distribution.omegas.shape[1] != m:
-                raise ValueError(
-                    f"scenario points have dimension "
-                    f"{distribution.omegas.shape[1]}, expected {m}"
-                )
+            _check_dim(distribution.omegas, m, "scenario points")
         elif not isinstance(distribution, UniformBox):
             raise ValueError("distribution must be UniformBox or FiniteScenarios")
         self.distribution = distribution
@@ -329,10 +331,6 @@ class SampleSet:
     @property
     def N(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 # A band product costs about as much as a dense one over _BAND_FIXED
@@ -456,14 +454,6 @@ def _check_vector(v, size: int, name: str) -> np.ndarray:
     if arr.size != size:
         raise ValueError(f"{name} has length {arr.size}, expected {size}")
     return arr
-
-
-def _check_samples(problem: StochasticProblem, samples: SampleSet) -> None:
-    if samples.dim != problem.m:
-        raise ValueError(
-            f"sample points have dimension {samples.dim}, "
-            f"expected {problem.m}"
-        )
 
 
 def _lift(points) -> np.ndarray:
@@ -610,7 +600,7 @@ def smoothed_objective(
     problem: StochasticProblem, samples: SampleSet, x, mu: float
 ) -> float:
     """erm_objective with |x| replaced by smooth_abs(x, mu); equal at mu = 0."""
-    _check_samples(problem, samples)
+    _check_dim(samples.points, problem.m, "sample points")
     x = _check_vector(x, problem.n, "x")
     F = samples._factor
     Y = F @ _affine_rows(problem, x, 0.0)
@@ -639,7 +629,7 @@ def smoothed_gradient(
     at w_i; evaluated as 2 (sum_j A_j^T (M R)_j - (x / psi) (M R)_0) through
     the sample moments M, so no per-sample row or matrix is materialized.
     """
-    _check_samples(problem, samples)
+    _check_dim(samples.points, problem.m, "sample points")
     x = _check_vector(x, problem.n, "x")
     psi = _check_kink(smooth_abs(x, mu))
     S = samples._moments @ _affine_rows(problem, x, psi)

@@ -47,6 +47,7 @@ from .core import (
     StochasticProblem,
     _affine_rows,
     _apply_adjoint,
+    _check_dim,
     _check_kink,
     _check_vector,
     _dot,
@@ -87,11 +88,7 @@ class EvInstance:
 
     def __post_init__(self):
         self.points = _points_array(self.points, "points")
-        if self.points.shape[1] != self.problem.m:
-            raise ValueError(
-                f"points have dimension {self.points.shape[1]}, "
-                f"expected {self.problem.m}"
-            )
+        _check_dim(self.points, self.problem.m, "points")
         self._U = _lift(self.points)
 
     @property

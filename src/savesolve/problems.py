@@ -109,10 +109,7 @@ def builtin_example(example_id: str, n: int | None = None) -> StochasticProblem:
     if example_id == "ex4_4":
         if n is None:
             raise ValueError("ex4_4 requires the dimension n")
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError(f"ex4_4's dimension n must be an integer, got {n!r}")
-        if n < 2:
-            raise ValueError(f"ex4_4 needs n >= 2, got {n}")
+        _check_int(n, "ex4_4's dimension n", 2)
         # the family _shifted builds, from its diagonals: no n x n array
         # where the band is picked
         off, zero = np.ones(n - 1), np.zeros(n - 1)

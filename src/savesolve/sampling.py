@@ -26,9 +26,14 @@ import numpy as np
 from .core import _CHUNK_ROWS, FiniteScenarios, SampleSet, StochasticProblem, UniformBox
 from .core import _check_int
 
-__all__ = ["SamplerSpec", "generate", "halton_points", "radical_inverse"]
+__all__ = ["SamplerSpec", "generate", "halton_points"]
 
-KINDS = ("pseudorandom", "halton", "scenarios")
+# the SamplerSpec fields each kind reads; generate ignores the others
+READS = {
+    "pseudorandom": ("count", "dim", "seed"),
+    "halton": ("count", "dim", "offset"),
+    "scenarios": ("dim",),
+}
 # the table's entry cap, 1 MB: at N = 2**22, m = 3 a 2 * count table took
 # generate's peak to 209 MiB against 129, a 16384-entry one 37% more time
 # (one core of a 2-vCPU Xeon)
@@ -39,8 +44,9 @@ _TABLE_ENTRIES = 2**17
 class SamplerSpec:
     """How to draw the observation set: kind, point count and dimension.
 
-    seed applies to pseudorandom draws, offset shifts the Halton index origin.
-    For the scenarios kind the count is ignored; every scenario is emitted.
+    seed applies to pseudorandom draws, offset shifts the Halton index origin;
+    READS lists the fields each kind reads (scenarios emits every scenario,
+    whatever the count), though every field is checked whatever the kind.
     The field defaults are the run defaults: the command line and a problem
     file's sampler block only overlay the fields they set.
     """
@@ -52,8 +58,8 @@ class SamplerSpec:
     offset: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown sampler kind {self.kind!r}; use one of {KINDS}")
+        if self.kind not in READS:
+            raise ValueError(f"unknown sampler kind {self.kind!r}; use one of {tuple(READS)}")
         _check_int(self.count, "count", 1)
         _check_int(self.dim, "dim", 0)
         _check_int(self.seed, "seed", 0)
@@ -62,12 +68,9 @@ class SamplerSpec:
         _check_int(self.offset, "offset", 0)
 
 
-def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
-
-
 def _first_primes(k: int) -> list[int]:
-    return list(itertools.islice(filter(_is_prime, itertools.count(2)), k))
+    primes = (p for p in itertools.count(2) if all(p % d for d in range(2, math.isqrt(p) + 1)))
+    return list(itertools.islice(primes, k))
 
 
 def _digit_reversal(base: int, top: int, size: int):
@@ -95,23 +98,13 @@ def _digit_reversal(base: int, top: int, size: int):
     return reverse
 
 
-def radical_inverse(index: int | np.ndarray, base: int) -> float | np.ndarray:
-    """Digit reversal of index in the given prime base, a value in [0, 1).
-
-    index is a nonnegative integer below 2**63 or an array of them; an array
-    gives a float array of the same shape, a scalar a float.  The partial-sum
-    table holds at most min(2 * index.size, _TABLE_ENTRIES) entries.
-    """
-    idx = np.asarray(index)
-    if idx.dtype.kind not in "iu" or idx.size and not 0 <= idx.min() <= idx.max() < 2**63:
-        raise ValueError(f"index must be an integer in [0, 2**63), got {index!r}")
-    # the prime check carries the base >= 2 bound
-    _check_int(base, "base", 0)
-    if not _is_prime(base):
-        raise ValueError(f"base must be a prime >= 2, got {base}")
-    top = int(idx.max()) if idx.size else 0
-    r = _digit_reversal(base, top, idx.size)(idx.astype(np.int64), top)
-    return float(r) if r.ndim == 0 else r
+def _last_index(count: int, offset: int) -> int:
+    """offset + count, the last index of a Halton set, refused from 2**63 on."""
+    # as Python ints, since an int64 sum would wrap past the bound
+    top = int(offset) + int(count)
+    if top >= 2**63:
+        raise ValueError(f"offset + count must be below 2**63, got offset {offset}")
+    return top
 
 
 def halton_points(count: int, dim: int, offset: int = 0) -> np.ndarray:
@@ -123,10 +116,7 @@ def halton_points(count: int, dim: int, offset: int = 0) -> np.ndarray:
     _check_int(count, "count", 0)
     _check_int(dim, "dim", 0)
     _check_int(offset, "offset", 0)
-    # as Python ints, since an int64 sum would wrap past the bound
-    top = int(offset) + int(count)
-    if top >= 2**63:
-        raise ValueError(f"offset + count must be below 2**63, got offset {offset}")
+    top = _last_index(count, offset)
     out = np.empty((count, dim))  # first, so a count that cannot be held fails at once
     for j, base in enumerate(_first_primes(dim)):
         reverse = _digit_reversal(base, top, count)

@@ -218,6 +218,55 @@ class TestRunCommand:
         assert "--x0-seed" in capsys.readouterr().err
         assert main(given) == 0
 
+    @pytest.mark.parametrize("argv, flag, kind", [
+        (["--example", "ex4_1", "--sampler", "halton", "--seed", "5"], "--seed", "halton"),
+        (["--example", "ex4_1", "--seed", "5"], "--seed", "halton"),
+        (["--example", "ex4_1", "--sampler", "pseudorandom", "--offset", "9"],
+         "--offset", "pseudorandom"),
+        (["--example", "ex2_1", "--sampler", "scenarios", "--seed", "3"], "--seed", "scenarios"),
+        (["--example", "ex2_1", "--sampler", "scenarios", "--offset", "3"],
+         "--offset", "scenarios"),
+        (["--example", "ex2_1", "--sampler", "scenarios", "--N", "5"], "--N", "scenarios"),
+        (["--problem-file", "{file}", "--offset", "9"], "--offset", "pseudorandom"),
+    ])
+    def test_flags_the_sampler_does_not_read_exit_64(
+        self, tmp_path, monkeypatch, capsys, argv, flag, kind
+    ):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(dict(EX4_1_DOC, sampler={"kind": "pseudorandom"})),
+                        encoding="utf-8")
+        solves = []
+        monkeypatch.setattr("savesolve.cli.run_experiment", lambda *a, **k: solves.append(a))
+        argv = [a.replace("{file}", str(path)) for a in argv]
+        assert main(["run", *argv]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and not solves
+        assert f"{flag}: not read by the {kind} sampler" in captured.err
+
+    @pytest.mark.parametrize("extra, source", [
+        (["--N", "10,100"], "--N"),
+        ([], "sampler"),
+        (["--offset", str(2**63 - 60)], "--offset"),
+    ])
+    def test_halton_bound_checked_before_any_solve(
+        self, tmp_path, monkeypatch, capsys, extra, source
+    ):
+        doc = dict(EX4_1_DOC, sampler={"kind": "halton", "offset": 2**63 - 50})
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        solves = []
+        monkeypatch.setattr("savesolve.cli.run_experiment", lambda *a, **k: solves.append(a))
+        assert main(["run", "--problem-file", str(path), *extra]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and not solves
+        assert captured.err.startswith(
+            f"save-solve: error: {source}: offset + count must be below 2**63")
+
+    def test_halton_bound_refuses_no_count_below_it(self, capsys):
+        argv = ["run", "--example", "ex4_1", "--offset", str(2**63 - 50), "--N", "10"]
+        assert main(argv) == 0
+        assert "status=converged" in capsys.readouterr().out
+
     def test_counts_refused_with_the_scenarios_sampler(self, tmp_path, capsys):
         code = main(["run", "--example", "ex2_1", "--sampler", "scenarios", "--N", "10,50"])
         assert code == 64
@@ -734,14 +783,28 @@ def readme_command_line() -> str:
     return text.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
 
 
+def readme_commands() -> list[list[str]]:
+    """The argv of each command in the section's example block."""
+    block = readme_command_line().split("```")[1].replace("\\\n", " ")
+    return [shlex.split(line) for line in block.splitlines() if line.strip()]
+
+
 class TestReadmeCommandLine:
     def test_every_example_command_parses(self):
-        block = readme_command_line().split("```")[1].replace("\\\n", " ")
-        commands = [shlex.split(line) for line in block.splitlines() if line.strip()]
+        commands = readme_commands()
         assert len(commands) >= 5
         for argv in commands:
             assert argv[0] == "save-solve"
             build_parser().parse_args(argv[1:])
+
+    def test_every_example_run_and_verify_exits_0(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        runs = [argv[1:] for argv in readme_commands()
+                if argv[1] in ("run", "verify") and "--example" in argv]
+        assert len(runs) >= 3
+        for argv in runs:
+            assert main(argv) == 0, argv
+        capsys.readouterr()
 
     def test_every_named_flag_is_an_option(self):
         parser = build_parser()

@@ -614,6 +614,12 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match="weights"):
                 SampleSet([[0.0], [1.0]], [1.0, bad])
 
+    def test_one_weight_too_few_rejected(self):
+        with pytest.raises(ValueError, match="3 points but 2 sample weights"):
+            SampleSet([[0.0], [1.0], [2.0]], [1.0, 1.0])
+        with pytest.raises(ValueError, match="3 points but 2 scenario probabilities"):
+            FiniteScenarios([[0.0], [1.0], [2.0]], [0.5, 0.5])
+
     def test_non_finite_coefficients_rejected(self):
         inf_matrix = np.array([[np.inf, 0.0], [0.0, 1.0]])
         nan_vector = np.array([np.nan, 0.0])

@@ -93,7 +93,7 @@ class TestBuiltinExamples:
         np.testing.assert_array_equal(inst.b_bar, [13.0, 16.0, 15.0, 21.0])
 
     def test_ex4_4_validation(self):
-        with pytest.raises(ValueError, match="n >= 2"):
+        with pytest.raises(ValueError, match="dimension n must be at least 2"):
             builtin_example("ex4_4", n=1)
         with pytest.raises(ValueError, match="requires the dimension"):
             builtin_example("ex4_4")

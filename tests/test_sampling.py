@@ -12,7 +12,6 @@ from savesolve import (
     builtin_example,
     generate,
     halton_points,
-    radical_inverse,
 )
 from savesolve.core import _CHUNK_ROWS
 from savesolve.sampling import _TABLE_ENTRIES
@@ -66,53 +65,46 @@ def halton_args(draw):
     return count, dim, draw(st.one_of(low, top))
 
 
+def halton_reversal(index, base):
+    """The digit reversal of index in a prime base, read off the Halton point
+    at that index: its column for base, among the first primes."""
+    dim = sum(all(p % d for d in range(2, p)) for p in range(2, base + 1))
+    return halton_points(1, dim, index - 1)[0, -1]
+
+
 class TestRadicalInverse:
+    """The digit reversal behind every Halton coordinate, pinned through
+    halton_points; the point at index i is the one at offset i - 1."""
+
     def test_base_two_values(self):
-        assert radical_inverse(0, 2) == 0.0
-        assert radical_inverse(1, 2) == 0.5
+        assert halton_reversal(1, 2) == 0.5
         # 6 = 110 in base 2, reversed digits give 0.011 = 3/8
-        assert radical_inverse(6, 2) == 0.375
+        assert halton_reversal(6, 2) == 0.375
 
     def test_base_three_first_index(self):
-        assert radical_inverse(1, 3) == pytest.approx(1 / 3, rel=1e-15)
-
-    def test_composite_base_rejected(self):
-        with pytest.raises(ValueError, match="prime"):
-            radical_inverse(3, 4)
-        with pytest.raises(ValueError, match="prime"):
-            radical_inverse(3, 1)
-
-    @pytest.mark.parametrize("base", [2.5, "3", 3.0])
-    def test_non_integer_base_rejected(self, base):
-        # truncating 2.5 would silently give the base-2 value
-        with pytest.raises(ValueError, match="base"):
-            radical_inverse(3, base)
+        assert halton_reversal(1, 3) == pytest.approx(1 / 3, rel=1e-15)
 
     def test_negative_index_rejected(self):
-        with pytest.raises(ValueError, match="index"):
-            radical_inverse(-1, 2)
+        with pytest.raises(ValueError, match="offset"):
+            halton_points(1, 1, offset=-2)
 
     def test_array_matches_scalar_calls(self):
-        index = np.array([[0, 1, 6], [12345, 2**40 + 7, 2**63 - 1]])
-        for base in (2, 3, 7):
-            values = radical_inverse(index, base)
-            assert values.shape == index.shape
-            expected = [[radical_inverse(int(i), base) for i in row] for row in index]
-            assert values.tobytes() == np.array(expected).tobytes()
-
-    def test_scalar_call_returns_float(self):
-        assert type(radical_inverse(6, 2)) is float
-        assert type(radical_inverse(np.int64(6), 3)) is float
+        # a block of consecutive indices equals one call per index
+        for first in (1, 12345, 2**40 + 7, 2**63 - 3):
+            block = halton_points(3, 4, first - 1)
+            single = [halton_points(1, 4, i - 1)[0] for i in range(first, first + 3)]
+            assert block.tobytes() == np.array(single).tobytes()
 
     @pytest.mark.parametrize("index", [2.5, 2.0, True, 2**63])
     def test_non_int64_index_rejected(self, index):
-        with pytest.raises(ValueError, match="index"):
-            radical_inverse(index, 2)
+        # the offset is the index origin, so it must be an int64 too
+        with pytest.raises(ValueError, match="offset"):
+            halton_points(1, 1, index)
 
     @pytest.mark.parametrize("base", [2, 3, 97])
     def test_extreme_indices_match_both_oracles(self, base):
-        index = np.array([0, 1, 2**62, 2**63 - 1])
-        values = radical_inverse(index, base)
+        index = np.array([1, 2, 2**62, 2**63 - 1])
+        values = np.array([halton_reversal(int(i), base) for i in index])
         assert values.tobytes() == vector_radical_inverse(index, base).tobytes()
         expected = [scalar_radical_inverse(int(i), base) for i in index]
         assert values.tobytes() == np.array(expected).tobytes()
@@ -128,10 +120,11 @@ class TestRadicalInverse:
 
         # the bound means something only if numpy buffers are traced
         assert peak(lambda: np.zeros(2**14)) >= 2**17
-        assert peak(lambda: radical_inverse(np.array([2**63 - 1]), 2)) < 64 * 1024
+        assert peak(lambda: halton_points(1, 1, 2**63 - 2)) < 64 * 1024
         assert peak(lambda: halton_points(1, 8, 2**63 - 2)) < 64 * 1024
-        # nor does the base: 1000003 digit slots would take 8 MB
-        assert peak(lambda: radical_inverse(np.array([3]), 1000003)) < 64 * 1024
+        # nor does the base: at dim 1000 the bases reach 7919, and a table of
+        # 7919 digit slots would take 63 KB
+        assert peak(lambda: halton_points(1, 1000, 2**63 - 2)) < 64 * 1024
 
 
 class TestHalton:
