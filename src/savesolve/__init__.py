@@ -3,11 +3,8 @@ A(w) x - |x| = b(w)."""
 
 from .analytic import (
     ClosedFormInstance,
-    UnsupportedDimensionError,
     as_save_problem,
     exact_objective,
-    fd_gradient,
-    grid_search,
 )
 from .bench import (
     GivenStart,
@@ -24,23 +21,16 @@ from .core import (
     StochasticProblem,
     UniformBox,
     erm_objective,
-    eval_A,
-    eval_b,
-    residual,
     smooth_abs,
     smoothed_gradient,
-    smoothed_jacobian,
     smoothed_objective,
 )
 from .ev import (
     EvInstance,
     ev_gradient,
     ev_objective,
-    ev_residual,
     ev_solve,
     expected_instance,
-    fb,
-    smoothed_fb,
     verify_glcp,
     verify_save,
 )

@@ -1,32 +1,22 @@
-"""Exact oracles used to cross-check the sampled machinery.
-
-Covers the closed-form expected objective for instances with a constant
-coefficient matrix and one uniform noise term per residual row, plain
-central-difference gradients, and brute-force lattice minimization for
-dimensions up to three.
+"""The closed-form expected objective, an exact oracle for the sampled
+machinery on instances with a constant coefficient matrix and one uniform
+noise term per residual row; as_save_problem gives the sampled machinery the
+same instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import StochasticProblem, UniformBox, _check_vector, _finite_array
 
 __all__ = [
-    "UnsupportedDimensionError",
     "ClosedFormInstance",
     "exact_objective",
     "as_save_problem",
-    "fd_gradient",
-    "grid_search",
 ]
-
-
-class UnsupportedDimensionError(ValueError):
-    """Brute-force search requested above the supported dimension."""
 
 
 @dataclass(eq=False)
@@ -96,45 +86,3 @@ def as_save_problem(inst: ClosedFormInstance) -> StochasticProblem:
         b_terms=[inst.T[:, j] for j in range(m)],
         distribution=UniformBox(),
     )
-
-
-def fd_gradient(objective: Callable[[np.ndarray], float], x, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient (f(x + h e_j) - f(x - h e_j)) / (2 h)."""
-    h = float(h)
-    if not h > 0.0:
-        raise ValueError(f"h must be positive, got {h!r}")
-    x = np.asarray(x, dtype=float).ravel()
-    grad = np.empty(x.size)
-    for j in range(x.size):
-        step = np.zeros(x.size)
-        step[j] = h
-        grad[j] = (objective(x + step) - objective(x - step)) / (2.0 * h)
-    return grad
-
-
-def grid_search(
-    objective: Callable[[np.ndarray], float],
-    box: Sequence[tuple[float, float]],
-    steps_per_dim: int,
-) -> tuple[np.ndarray, float]:
-    """Exhaustive minimization over a regular lattice on a box.
-
-    Ties go to the lexicographically first lattice index.  Limited to three
-    dimensions; the lattice size explodes beyond that.
-    """
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    if len(box) > 3:
-        raise UnsupportedDimensionError(
-            f"grid search supports up to 3 dimensions, got {len(box)}"
-        )
-    if steps_per_dim < 2:
-        raise ValueError("steps_per_dim must be at least 2")
-    axes = [np.linspace(lo, hi, steps_per_dim) for lo, hi in box]
-    x_best = None
-    f_best = np.inf
-    for idx in np.ndindex(*(steps_per_dim,) * len(box)):
-        x = np.array([axes[d][i] for d, i in enumerate(idx)])
-        f = objective(x)
-        if f < f_best:
-            x_best, f_best = x, f
-    return x_best, float(f_best)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass
 
@@ -56,9 +57,14 @@ class UniformRandomStart:
     hi: float = 2.0
     seed: int = 0
 
+    def __post_init__(self):
+        lo, hi = float(self.lo), float(self.hi)
+        # hi - lo is finite only if hi is: an overflowing width would draw infinities
+        if not (math.isfinite(lo) and math.isfinite(hi - lo) and hi > lo):
+            raise ValueError(f"x0 box needs hi > lo with lo and hi - lo finite, "
+                             f"got [{lo!r}, {hi!r}]")
+
     def resolve(self, n: int) -> np.ndarray:
-        if not self.hi > self.lo:
-            raise ValueError("x0 box needs hi > lo")
         rng = np.random.default_rng(self.seed)
         return self.lo + (self.hi - self.lo) * rng.random(n)
 

@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes: 0 converged, 2 iteration cap, 3 line-search failure, 4 non-finite
 objective or gradient, 64 bad input; over an --N sweep the largest code wins.
-For verify, 0 means every check passed and 1 that at least one failed.
+For verify, 0 means every check passed and 1 that at least one failed; oracle
+exits 4 when the exact value or the estimate is not finite.
 """
 
 from __future__ import annotations
@@ -191,9 +192,8 @@ def _cmd_run(args) -> int:
                        "--x0 gives the start, so none is drawn")
         policy = GivenStart(tuple(_parse_floats(args.x0, "--x0")))
     else:
-        policy = _override(
-            UniformRandomStart(), lo=args.x0_lo, hi=args.x0_hi, seed=args.x0_seed
-        )
+        policy = _flagged("--x0-lo, --x0-hi", lambda: _override(
+            UniformRandomStart(), lo=args.x0_lo, hi=args.x0_hi, seed=args.x0_seed))
     example_id = args.example or args.problem_file
     records = []
     for spec in specs:
@@ -265,11 +265,13 @@ def _cmd_oracle(args) -> int:
             SamplerSpec("halton", count=args.qmc, dim=inst.m), problem))
     value = exact_objective(inst, x)
     print(f"exact objective: {value:.12g}")
+    finite = np.isfinite(value)
     if args.qmc is not None:
         estimate = erm_objective(problem, samples, x)
         print(f"halton estimate (N={args.qmc}): {estimate:.12g}")
         print(f"absolute difference: {abs(estimate - value):.3e}")
-    return EXIT_OK
+        finite &= np.isfinite(estimate)
+    return EXIT_OK if finite else EXIT_NON_FINITE
 
 
 def main(argv=None) -> int:
@@ -277,12 +279,12 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
+    command = {"run": _cmd_run, "verify": _cmd_verify, "oracle": _cmd_oracle}[args.command]
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_oracle(args)
+        # a finite input may overflow: exit codes and printed values report it,
+        # as the solver's non_finite status does, never a numpy warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return command(args)
     except (ProblemFormatError, ValueError, OSError) as exc:
         print(f"save-solve: error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -7,11 +7,11 @@ families affine in the random vector w:
     b(w) = b_base + sum_j w_j * b_terms[j]
 
 w is either uniform on [0,1]^m (unit density) or supported on finitely many
-weighted scenarios.  The module evaluates residuals, the weighted
-sample-average squared-residual objective, and the smoothed objective obtained
-by replacing |x| with smooth_abs(x, mu) = sqrt(x^2 + mu), together with the
-exact Jacobian and gradient of the smoothed residual.  smooth_abs is the one
-home of that rule for both routes, and _check_kink the one test for its kink.
+weighted scenarios.  The module evaluates the weighted sample-average
+squared-residual objective and the smoothed objective obtained by replacing
+|x| with smooth_abs(x, mu) = sqrt(x^2 + mu), together with its exact
+gradient.  smooth_abs is the one home of that rule for both routes, and
+_check_kink the one test for its kink.
 
 A problem holds the family as two read-only stacks over u = [1; w]: A(w) is
 sum_j u_j _A[j] and b(w) is sum_j u_j _b[j], with row 0 the base.  Every
@@ -24,14 +24,13 @@ _Band, the union of the slices' nonzero diagonals, when a fixed cost rule
 says that is cheaper than the dense stack, as on the tridiagonal ex4_4 with
 n >= 151; a diagonal stack is a band of width one.  So objective and
 gradient calls cost O(m w n + m^2 n) for band width w, O(m n^2 + m^2 n)
-dense, whatever the sample count.  eval_A, residual and smoothed_jacobian
-stay dense: they are the oracles.
+dense, whatever the sample count.
 
 Whichever constructor built it, a problem stores A once, as the band where
 the rule picks it, else as the dense stack; dense input is scanned in place
 for its nonzero diagonals and stacked only where the rule keeps it dense.
 A banded problem builds the dense _A, A_base and A_terms read-only on each
-read, uncached: only the oracles and problem_to_dict read them.
+read, uncached: nothing in the package reads them but problem_to_dict.
 
 Each route values a lift W L(x) of the rows L(x) = _A x - _b: erm lifts with
 the moment factor F (F^T F = M) and ev with its points U = [1, points].  L is
@@ -68,13 +67,9 @@ __all__ = [
     "FiniteScenarios",
     "StochasticProblem",
     "SampleSet",
-    "eval_A",
-    "eval_b",
-    "residual",
     "smooth_abs",
     "erm_objective",
     "smoothed_objective",
-    "smoothed_jacobian",
     "smoothed_gradient",
 ]
 
@@ -462,24 +457,6 @@ def _lift(points) -> np.ndarray:
     return np.concatenate([np.ones(points.shape[:-1] + (1,)), points], axis=-1)
 
 
-def eval_A(problem: StochasticProblem, omega) -> np.ndarray:
-    """Coefficient matrix A_base + sum_j omega_j * A_terms[j]."""
-    omega = _check_vector(omega, problem.m, "omega")
-    return np.tensordot(_lift(omega), problem._A, axes=1)
-
-
-def eval_b(problem: StochasticProblem, omega) -> np.ndarray:
-    """Right-hand side b_base + sum_j omega_j * b_terms[j]."""
-    omega = _check_vector(omega, problem.m, "omega")
-    return _lift(omega) @ problem._b
-
-
-def residual(problem: StochasticProblem, x, omega) -> np.ndarray:
-    """A(w) x - |x| - b(w) with the absolute value taken componentwise."""
-    x = _check_vector(x, problem.n, "x")
-    return eval_A(problem, omega) @ x - np.abs(x) - eval_b(problem, omega)
-
-
 def smooth_abs(t, mu: float):
     """sqrt(t^2 + mu), the smooth stand-in for |t|, as hypot(t, sqrt(mu)):
     exactly |t| at mu = 0, and finite for every finite t.
@@ -605,19 +582,6 @@ def smoothed_objective(
     F = samples._factor
     Y = F @ _affine_rows(problem, x, 0.0)
     return float(_erm_value(F[:, :1], Y[None], x[None], mu)[0])
-
-
-def smoothed_jacobian(problem: StochasticProblem, x, omega, mu: float) -> np.ndarray:
-    """Jacobian of the smoothed residual: A(w) - diag(x_j / smooth_abs(x_j, mu)).
-
-    mu = 0 is accepted only when no component of x vanishes; otherwise the
-    point is a kink of |.| and a NonsmoothPointError is raised.
-    """
-    x = _check_vector(x, problem.n, "x")
-    psi = _check_kink(smooth_abs(x, mu))
-    J = eval_A(problem, omega)
-    J[np.diag_indices_from(J)] -= x / psi
-    return J
 
 
 def smoothed_gradient(

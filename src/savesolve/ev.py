@@ -54,20 +54,15 @@ from .core import (
     _lift,
     _points_array,
     _Ray,
-    eval_A,
-    eval_b,
     smooth_abs,
 )
 from .solver import SmoothedModel, SolveReport, SolverConfig, minimize_smoothed
 
 __all__ = [
     "EvInstance",
-    "fb",
-    "smoothed_fb",
     "expected_instance",
     "ev_objective",
     "ev_gradient",
-    "ev_residual",
     "ev_solve",
     "verify_glcp",
     "verify_save",
@@ -99,25 +94,6 @@ class EvInstance:
     def count(self) -> int:
         """Number of scenario constraint blocks."""
         return self.points.shape[0] - 1
-
-    @property
-    def A_bar(self) -> np.ndarray:
-        return eval_A(self.problem, self.points[0])
-
-    @property
-    def b_bar(self) -> np.ndarray:
-        return eval_b(self.problem, self.points[0])
-
-
-def fb(a, b):
-    """sqrt(a^2 + b^2) - a - b; zero exactly when a, b >= 0 and a b = 0."""
-    return smoothed_fb(a, b, 0.0)
-
-
-def smoothed_fb(a, b, mu: float):
-    """sqrt(a^2 + b^2 + mu) - a - b, a smooth perturbation of fb."""
-    out = _fb_parts(np.asarray(a, dtype=float), np.asarray(b, dtype=float), mu)[1]
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _fb_parts(a, b, mu):
@@ -161,8 +137,9 @@ def ev_objective(inst: EvInstance, x, mu: float) -> float:
     """Half the squared norm of the reduced expected-value system.
 
     Equals 0.5 ||Phi_mu(x)||^2 + 0.5 * sum of squared negative parts of the
-    scenario constraint rows, where Phi_mu applies smoothed_fb to the
-    componentwise pairs of (A_bar + I) x - b_bar and (A_bar - I) x - b_bar.
+    scenario constraint rows, where Phi_mu applies sqrt(a^2 + b^2 + mu) - a - b
+    to the componentwise pairs of (A_e + I) x - b_e and (A_e - I) x - b_e,
+    with A_e and b_e the coefficients at the mean of w, row 0 of inst.points.
     This is the exact minimum over the nonnegative slack variables of half
     the squared constrained-system residual.
     """
@@ -241,29 +218,13 @@ def ev_gradient(inst: EvInstance, x, mu: float) -> np.ndarray:
     s, phi = _fb_parts(G[0], H[0], mu)
     _check_kink(s)
     # dG and dH weight the rows of A(w_i) + I and A(w_i) - I.  Row 0 holds
-    # d phi_k / dx = (G_k/s_k - 1) row_k(A_bar + I) + (H_k/s_k - 1) row_k(A_bar - I);
+    # d phi_k / dx = (G_k/s_k - 1) row_k(A_e + I) + (H_k/s_k - 1) row_k(A_e - I);
     # the scenario rows hold their negative parts.
     dG = np.minimum(0.0, G)
     dH = np.minimum(0.0, H)
     dG[0] = (G[0] / s - 1.0) * phi
     dH[0] = (H[0] / s - 1.0) * phi
     return _apply_adjoint(inst.problem, inst._U.T @ (dG + dH)) - (dH - dG).sum(axis=0)
-
-
-def ev_residual(inst: EvInstance, x, y) -> np.ndarray:
-    """Stacked residual of the constrained system at (x, y).
-
-    The first block is the unsmoothed complementarity residual; then, per
-    scenario, the rows (A_i + I) x - b_i - y_{2i} and (A_i - I) x - b_i -
-    y_{2i+1}.  y holds one length-n slack block per constraint row group and
-    may be passed flat or as a (2 * scenarios, n) array.
-    """
-    x = _check_vector(x, inst.n, "x")
-    G, H = _constraint_rows(inst, x)
-    # interleave each scenario's (A_i + I) and (A_i - I) rows
-    rows = np.stack([G[1:], H[1:]], axis=1).reshape(2 * inst.count, inst.n)
-    y = np.asarray(y, dtype=float).reshape(rows.shape)
-    return np.concatenate([fb(G[0], H[0]), (rows - y).ravel()])
 
 
 def ev_solve(inst: EvInstance, x0, cfg: SolverConfig | None = None) -> SolveReport:

@@ -17,17 +17,11 @@ from savesolve import (
     as_save_problem,
     builtin_example,
     erm_objective,
-    eval_A,
-    eval_b,
     ev_solve,
     exact_objective,
     expected_instance,
-    fb,
-    fd_gradient,
     generate,
-    grid_search,
     halton_points,
-    residual,
     run_experiment,
     smoothed_gradient,
     smoothed_objective,
@@ -35,6 +29,8 @@ from savesolve import (
     verify_save,
 )
 from savesolve.cli import main
+
+from helpers import eval_A, eval_b, fb, fd_gradient, grid_search, residual
 
 SAMPLE_COUNTS = (10, 50, 100, 200, 500)
 

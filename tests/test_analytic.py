@@ -9,15 +9,14 @@ from savesolve import (
     ClosedFormInstance,
     SampleSet,
     SamplerSpec,
-    UnsupportedDimensionError,
     as_save_problem,
     builtin_example,
     erm_objective,
     exact_objective,
-    fd_gradient,
     generate,
-    grid_search,
 )
+
+from helpers import UnsupportedDimensionError, fd_gradient, grid_search, residual
 
 
 def small_instance():
@@ -72,8 +71,6 @@ class TestClosedFormInstance:
             x = rng.uniform(-2, 2, size=2)
             w = rng.uniform(0, 1, size=1)
             direct = inst.A @ x - np.abs(x) - inst.b_tilde - inst.T @ w
-            from savesolve import residual
-
             np.testing.assert_allclose(residual(problem, x, w), direct, atol=1e-14)
 
 
@@ -173,8 +170,6 @@ class TestOracleAgainstSampling:
         problem = as_save_problem(inst)
         samples = generate(SamplerSpec("halton", count=128, dim=2), problem)
         rng = np.random.default_rng(15)
-        from savesolve import residual
-
         for _ in range(10):
             x = rng.uniform(-1, 1, size=2)
             per_component = np.zeros(2)

@@ -60,6 +60,19 @@ class TestRunExperiment:
         np.testing.assert_array_equal(rec1.x0, rec2.x0)
         assert np.all(rec1.x0 >= 0.0) and np.all(rec1.x0 <= 2.0)
 
+    def test_random_start_draws_the_box_formula(self):
+        draw = UniformRandomStart(-3.0, 0.5, seed=11).resolve(5)
+        expected = -3.0 + (0.5 - -3.0) * np.random.default_rng(11).random(5)
+        np.testing.assert_array_equal(draw, expected)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (1.0, 1.0), (2.0, 1.0), (-np.inf, 0.0), (0.0, np.inf), (np.nan, 1.0),
+        (0.0, np.nan), (-1e308, 1e308),
+    ])
+    def test_random_start_refuses_a_box_without_a_finite_width(self, lo, hi):
+        with pytest.raises(ValueError, match="x0 box needs hi > lo"):
+            UniformRandomStart(lo, hi)
+
     def test_ev_route_on_scenarios(self):
         problem = builtin_example("ex2_1")
         spec = SamplerSpec("scenarios", count=1, dim=1)

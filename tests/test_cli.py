@@ -1,4 +1,7 @@
 import argparse
+import contextlib
+import csv
+import io
 import json
 import os
 import re
@@ -6,10 +9,13 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from savesolve import StochasticProblem
 from savesolve.cli import build_parser, main
@@ -372,6 +378,28 @@ class TestRunCommand:
             assert main(["run", "--example", "ex4_1", *extra]) == 64
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("box", [
+        ["--x0-lo=-inf", "--x0-hi", "0"],
+        ["--x0-lo=-1e308", "--x0-hi", "1e308"],  # finite ends, but hi - lo overflows
+        ["--x0-hi", "nan"],
+    ])
+    def test_box_without_a_finite_width_exits_64(self, capsys, box):
+        assert main(["run", "--example", "ex4_1", *box]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "save-solve: error: --x0-lo, --x0-hi: x0 box needs hi > lo")
+
+    def test_scenario_moments_that_overflow_exit_4(self, tmp_path, capsys):
+        # the moments of u = [1; 1e200] overflow: a status, never a numpy warning
+        scenarios = [{"omega": [1e200], "p": 0.5}, {"omega": [0.0], "p": 0.5}]
+        doc = {**EX4_1_DOC, "distribution": {"kind": "finite_scenarios",
+                                             "scenarios": scenarios}}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--problem-file", str(path), "--sampler", "scenarios"]) == 4
+        assert "status=non_finite" in capsys.readouterr().out
+
     def test_overflowing_start_on_the_band_path_exits_4(self):
         # ex4_4 at n = 300 takes the band products
         proc = subprocess.run(
@@ -554,6 +582,11 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_overflowing_x_fails_without_a_warning(self, capsys):
+        assert main(["verify", "--example", "ex4_1", "--x", "1e308,1e308"]) == 1
+        assert capsys.readouterr().out == (
+            "omega=(0) residual_norm=inf save=FAIL glcp=FAIL\n")
+
     def test_explicit_omega(self):
         assert main(
             ["verify", "--example", "ex4_1", "--x", "1,3", "--omega", "0.73"]
@@ -688,6 +721,13 @@ class TestOracleCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"save-solve: error: {flag}:")
 
+    def test_non_finite_value_exits_4(self, tmp_path, capsys):
+        doc = {"A": [[1e308]], "b_tilde": [1e308], "T": [[1e308]]}
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["oracle", "--case2-file", str(path), "--x", "1e308"]) == 4
+        assert capsys.readouterr().out == "exact objective: nan\n"
+
     def test_bad_file_exits_64(self, tmp_path):
         path = tmp_path / "case.json"
         path.write_text("{}", encoding="utf-8")
@@ -813,3 +853,183 @@ class TestReadmeCommandLine:
         named = set(re.findall(r"--[A-Za-z][\w-]*", readme_command_line()))
         assert len(named) >= 20
         assert named <= options, sorted(named - options)
+
+
+def readme_python_blocks() -> list[str]:
+    """The README's python code blocks, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return [block.split("```", 1)[0] for block in text.split("```python\n")[1:]]
+
+
+def test_readme_python_blocks_run_in_one_namespace(capsys):
+    blocks = readme_python_blocks()
+    assert len(blocks) == 2  # the quickstart, then ex4_4 by its diagonals
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.startswith("SolveStatus.CONVERGED [")
+    np.testing.assert_allclose(namespace["report"].x_final, [1.0, 3.0], atol=1e-3)
+    assert namespace["problem"].n == 100_000
+
+
+# The CLI contract, checked on random files and flag sets.  Seven of eight
+# drawn values are meant to be valid, so that many calls reach a solve; the
+# rest, and one file in eight, are malformed or extreme.
+EXIT_CODES = {0, 1, 2, 3, 4, 64}
+EXTREMES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300,
+            1e308, -1e308]
+NUMBERS = st.one_of(st.sampled_from(EXTREMES), st.floats(-10.0, 10.0))
+# True seven times in eight; Hypothesis leans to the first entry, a valid draw
+MOSTLY = st.sampled_from([True] * 7 + [False])
+BAD_FLOATS = EXTREMES + [float("inf"), float("-inf"), float("nan")]
+BAD_INTS = [-1, 0, 2**63 - 1, 2**64]
+# valid values; the bounded ones keep every call small and short
+VALID = {"--max-iter": st.integers(1, 50), "--max-backtracks": st.integers(1, 60),
+         "--n": st.integers(2, 4), "--qmc": st.integers(1, 64),
+         "--N": st.lists(st.integers(1, 50), min_size=1, max_size=3).map(
+             lambda ns: ",".join(map(str, ns)))}
+FILES = {"--problem-file": "problem.json", "--case2-file": "case.json",
+         "--out": "out.csv", "--trace": "trace.csv"}
+SUBPARSERS = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def joined(values):
+    return ",".join(repr(v) for v in values)
+
+
+@st.composite
+def flag_value(draw, action, n, m):
+    """A value for one of the parser's options, drawn by its choices, its
+    type or its role, for a problem of dimension n with m noise terms."""
+    option = action.option_strings[-1]
+    if option in FILES:
+        return FILES[option]
+    if action.choices is not None:
+        return draw(st.sampled_from(list(action.choices)))
+    if option in ("--x0", "--x", "--omega"):
+        size = m if option == "--omega" else n
+        if draw(MOSTLY):
+            return joined(draw(st.lists(NUMBERS, min_size=size, max_size=size)))
+        return joined(draw(st.lists(st.sampled_from(BAD_FLOATS), max_size=5)))
+    if not draw(MOSTLY):  # malformed or extreme
+        if option == "--N":
+            return draw(st.sampled_from(["abc", ",", "0", "-1", "10,0"]))
+        if option in VALID:  # a huge count or cap would run long
+            return draw(st.sampled_from(["-1", "0"]))
+        return repr(draw(st.sampled_from(BAD_INTS if action.type is int else BAD_FLOATS)))
+    if option in VALID:
+        return str(draw(VALID[option]))
+    if action.type is int:
+        return str(draw(st.sampled_from([0, 1, 2, 7])))
+    return repr(draw(st.sampled_from([0.1, 0.5, 0.9])))
+
+
+def matrices(n):
+    return st.lists(st.lists(NUMBERS, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def problem_documents(draw, n, m):
+    """A problem file's document, one in eight with a field malformed."""
+    doc = {
+        "n": n, "m": m, "A_base": draw(matrices(n)),
+        "A_terms": [draw(matrices(n)) for _ in range(m)],
+        "b_base": draw(st.lists(NUMBERS, min_size=n, max_size=n)),
+        "b_terms": [draw(st.lists(NUMBERS, min_size=n, max_size=n)) for _ in range(m)],
+        "distribution": {"kind": "uniform_box"},
+    }
+    k = draw(st.integers(0, 3))
+    if k:
+        omegas = [draw(st.lists(NUMBERS, min_size=m, max_size=m)) for _ in range(k)]
+        doc["distribution"] = {"kind": "finite_scenarios",
+                               "scenarios": [{"omega": w, "p": 1.0 / k} for w in omegas]}
+    kinds = ["halton", "pseudorandom", "scenarios"]
+    if k or draw(st.booleans()):  # scenarios mostly sampled as such
+        kind = draw(st.sampled_from(kinds[::-1] if k else kinds))
+        doc["sampler"] = {"kind": kind, "count": draw(st.integers(1, 50))}
+    if draw(st.booleans()):
+        doc["solver"] = {"max_iter": draw(st.integers(1, 50)),
+                         "mu0": draw(st.sampled_from([1e-300, 0.01, 1.0, 1e300]))}
+    if not draw(MOSTLY):  # one field dropped, mistyped or not finite
+        field = draw(st.sampled_from(sorted(doc)))
+        doc[field] = draw(st.sampled_from([None, "1", 2.5, True, [], [[1.0]], float("nan"),
+                                           {"kind": "nope"}, {"count": 2.0}]))
+        if doc[field] is None:
+            del doc[field]
+    return doc
+
+
+@st.composite
+def case2_documents(draw, n, m):
+    """An oracle file: each row of T holds one drawn entry, positive in
+    seven rows of eight, else zero or negative, which is malformed."""
+    T = [[0.0] * m for _ in range(n)]
+    for row in T:
+        scales = [1.0, 0.5, 1e-300, 5e-324, 1e300, 1e308] if draw(MOSTLY) else EXTREMES
+        row[draw(st.integers(0, m - 1))] = draw(st.sampled_from(scales))
+    return {"A": draw(matrices(n)), "b_tilde": draw(st.lists(NUMBERS, min_size=n, max_size=n)),
+            "T": T}
+
+
+@st.composite
+def invocations(draw):
+    """(argv, file document): a command with its required options and about
+    two of the others, every flag drawn from the parser's own options."""
+    command = draw(st.sampled_from(sorted(SUBPARSERS)))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0 if command != "oracle" else 1, 2))
+    actions = [a for a in SUBPARSERS[command]._actions if a.option_strings and a.dest != "help"]
+    sources = [a for a in actions if a.dest in ("example", "problem_file")]
+    required = [a for a in actions if a.required or a.option_strings == ["--max-iter"]]
+    optional = [a for a in actions if a not in required and a not in sources and a.dest != "n"]
+    rng = draw(st.randoms(use_true_random=True))  # seeded by the draw, so derandomised too
+    chosen = required + [a for a in optional if rng.random() < 2 / len(optional)]
+    argv = [command]
+    if sources:  # run and verify read one of two exclusive sources, the file mostly
+        source = sources[draw(st.sampled_from([1, 1, 1, 0]))]
+        argv.append(f"{source.option_strings[-1]}={draw(flag_value(source, n, m))}")
+        if source.dest == "example":  # the flags' sizes follow the example's
+            dim = draw(VALID["--n"]) if argv[-1].endswith("ex4_4") else None
+            problem = builtin_example(argv[-1].split("=")[1], n=dim)
+            n, m = problem.n, problem.m
+            argv += [f"--n={dim}"] if dim else []
+        elif not draw(MOSTLY):  # --n belongs to --example ex4_4 alone
+            argv.append(f"--n={draw(VALID['--n'])}")
+    for action in chosen:
+        option = action.option_strings[-1]
+        argv += [option] if action.nargs == 0 else [f"{option}={draw(flag_value(action, n, m))}"]
+    documents = case2_documents if command == "oracle" else problem_documents
+    return argv, draw(documents(n, m))
+
+
+def call_main(argv):
+    """(code, stdout with time= masked, stderr, files written), failing on any warning."""
+    for name in ("out.csv", "trace.csv"):
+        Path(name).unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert caught == [], [str(w.message) for w in caught]
+    files = {p: Path(p).read_bytes() for p in ("out.csv", "trace.csv") if Path(p).exists()}
+    return code, re.sub(r"time=\S+", "time=", out.getvalue()), err.getvalue(), files
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(invocations())
+def test_cli_contract(tmp_path, monkeypatch, invocation):
+    argv, doc = invocation
+    monkeypatch.chdir(tmp_path)
+    for name in ("problem.json", "case.json"):
+        Path(name).write_text(json.dumps(doc), encoding="utf-8")
+    first = call_main(argv)
+    code, stdout, _, files = first
+    assert code in EXIT_CODES, (code, argv)
+    if code == 64:
+        assert stdout == ""
+    if code in (0, 2, 3, 4) and "out.csv" in files:
+        table = list(csv.reader(io.StringIO(files["out.csv"].decode())))
+        assert table[0] == ["N", "x0", "x*", "f(x*)"] and len(table) >= 2
+    assert call_main(argv) == first

@@ -15,14 +15,9 @@ from savesolve import (
     StochasticProblem,
     builtin_example,
     erm_objective,
-    eval_A,
-    eval_b,
-    fd_gradient,
     generate,
-    residual,
     smooth_abs,
     smoothed_gradient,
-    smoothed_jacobian,
     smoothed_objective,
     solve,
 )
@@ -40,7 +35,15 @@ from savesolve.core import (
 from savesolve.ev import _EvRay, ev_gradient, ev_objective, expected_instance
 from savesolve.problems import problem_from_dict
 
-from helpers import scalar_trial, scenario_document
+from helpers import (
+    eval_A,
+    eval_b,
+    fd_gradient,
+    residual,
+    scalar_trial,
+    scenario_document,
+    smoothed_jacobian,
+)
 
 
 @pytest.fixture

@@ -15,15 +15,20 @@ from savesolve import (
     builtin_example,
     case2_from_dict,
     expected_instance,
-    eval_A,
     load_case2_file,
     load_problem_file,
     problem_from_dict,
     problem_to_dict,
-    residual,
 )
 
-from helpers import counted_stack_builds, scenario_document
+from helpers import (
+    A_bar,
+    b_bar,
+    counted_stack_builds,
+    eval_A,
+    residual,
+    scenario_document,
+)
 
 VALID_DOC = {
     "n": 2,
@@ -89,8 +94,8 @@ class TestBuiltinExamples:
 
     def test_ex2_1_expected_matrices(self):
         inst = expected_instance(builtin_example("ex2_1"))
-        assert inst.A_bar[0, 0] == 11.0 and inst.A_bar[3, 3] == 14.0
-        np.testing.assert_array_equal(inst.b_bar, [13.0, 16.0, 15.0, 21.0])
+        assert A_bar(inst)[0, 0] == 11.0 and A_bar(inst)[3, 3] == 14.0
+        np.testing.assert_array_equal(b_bar(inst), [13.0, 16.0, 15.0, 21.0])
 
     def test_ex4_4_validation(self):
         with pytest.raises(ValueError, match="dimension n must be at least 2"):
