@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StochasticProblem, UniformBox, _check_vector
+from .core import StochasticProblem, UniformBox, _check_int, _check_vector
 from .ev import ev_solve, expected_instance
 from .sampling import SamplerSpec, generate
 from .solver import SolveReport, SolveStatus, SolverConfig, solve
@@ -58,6 +58,7 @@ class UniformRandomStart:
     seed: int = 0
 
     def __post_init__(self):
+        _check_int(self.seed, "x0 seed", 0)
         lo, hi = float(self.lo), float(self.hi)
         # hi - lo is finite only if hi is: an overflowing width would draw infinities
         if not (math.isfinite(lo) and math.isfinite(hi - lo) and hi > lo):

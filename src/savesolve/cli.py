@@ -192,8 +192,9 @@ def _cmd_run(args) -> int:
                        "--x0 gives the start, so none is drawn")
         policy = GivenStart(tuple(_parse_floats(args.x0, "--x0")))
     else:
-        policy = _flagged("--x0-lo, --x0-hi", lambda: _override(
-            UniformRandomStart(), lo=args.x0_lo, hi=args.x0_hi, seed=args.x0_seed))
+        box = _flagged("--x0-lo, --x0-hi", lambda: _override(
+            UniformRandomStart(), lo=args.x0_lo, hi=args.x0_hi))
+        policy = _flagged("--x0-seed", lambda: _override(box, seed=args.x0_seed))
     example_id = args.example or args.problem_file
     records = []
     for spec in specs:

@@ -45,9 +45,10 @@ too: one BLAS dot per row of up to 10000 entries, past which OpenBLAS was
 measured to split a dot over its threads, else a fixed sum of its chunks.
 The ray evaluates a block of several steps alpha in one set of numpy
 calls, capped by a fixed cost rule on the lift's size.  The search hands
-each block its Armijo test, so a route's ray may reject a block on lower
-bounds read off part of the lift, unevaluated: ev's ray does, over the
-expected row of its lift (ev._EvRay).
+each block its Armijo test, so a route's ray may reject each row on a
+lower bound read off part of the lift, unevaluated, and stop at the first
+row the test accepts: ev's ray does, with the bound over the expected row
+of its lift, and sizes its blocks by that row (ev._EvRay).
 
 All operations are pure functions of their inputs; problem and sample objects
 are treated as read-only after construction, so they are safe to share across
@@ -522,7 +523,9 @@ def _erm_value(F0, Y, z, mu):
 # solves with blocks of 8 to 16 rows took about 0.65 of their time with
 # single trials; on ex4_4 at n = 300 (600 lifted entries) six rows beat one
 # by 14% and twelve lost by 8%; an ev lift of 41 x 250 entries was fastest
-# one trial at a time (four rows: +20%).
+# one trial at a time when every row summed its scenario rows (four rows:
+# +20%), but ev's ray sums them only for a row whose head passes, so it
+# sizes its blocks by the head.
 _BLOCK_TRIALS = 12
 _BLOCK_ENTRIES = 4096
 
@@ -540,7 +543,7 @@ class _Ray:
     with no second pass along the ray.
     block is handed the search's test, accepts(alpha, f), and evaluates
     every trial all the same; a route's ray may use the test to reject a
-    block on lower bounds, unevaluated, counted in screened (ev._EvRay).
+    row on a lower bound, unevaluated, counted in screened (ev._EvRay).
     """
 
     screened = 0

@@ -30,10 +30,12 @@ The value is 0.5 * (head + tail_G + tail_H), summed in _ev_sum alone.  The
 head, the squared phi of the expected row 0, is the only part that depends
 on mu; the tails, the squared negative parts of the scenario rows, are
 nonnegative.  So 0.5 * head bounds the computed value from below, and ev's
-ray, _EvRay, reads it off row 0 alone.  A block of any size whose every
-bound already fails the search's Armijo test is rejected without summing
-the scenario rows; otherwise the block keeps its tails, and the raw value
-of the accepted trial adds its head at mu = 0 to them.
+ray, _EvRay, reads it off row 0 alone.  A block computes every row's head
+in one call, then walks its rows: a row whose bound already fails the
+search's Armijo test is rejected without summing its scenario rows, any
+other row sums its own tails, and the block stops at the first row the
+test accepts; the raw value of that trial adds its head at mu = 0 to its
+tails.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _BLOCK_ENTRIES,
+    _BLOCK_TRIALS,
     FiniteScenarios,
     StochasticProblem,
     _affine_rows,
@@ -179,35 +183,41 @@ class _EvRay(_Ray):
 
     The tails are nonnegative and rounding is monotone, so 0.5 * head, read
     off row 0 of the lift alone in O(n) where the trial is O(k n), is a
-    lower bound on the computed trial value.  A block computes its heads
-    first; when the search's test rejects every row's bound, it returns
-    those bounds, counted in screened, and sums no scenario row.  Otherwise
-    it sums the tails and keeps them, and raw adds the head at mu = 0 to a
-    row's tails, so every value is bitwise _ev_value's at the trial.
+    lower bound on the computed trial value.  A block computes the heads of
+    all its steps in one call, so it is sized by the n-entry head, and then
+    walks its rows in order.  A row whose bound the search's test rejects
+    returns that bound, counted in screened, and sums no scenario row; any
+    other row sums its own tails, and the block stops at the first row the
+    test accepts.  raw adds the head at mu = 0 to that row's tails, so every
+    value is bitwise _ev_value's at the trial.
     """
 
     def __init__(self, inst, x, d):
         super().__init__(inst.problem, inst._U, _ev_value, x, d)
+        self.size = max(1, min(_BLOCK_TRIALS, _BLOCK_ENTRIES // self.Y.shape[1]))
 
     def block(self, alphas, mu, accepts):
         a = np.array(alphas)[:, None]
         self.points = self.x + a * self.d
         self.row0 = self.Y[0] + a * self.Q[0]
-        head = _ev_head(self.row0, self.points, mu)
-        bounds = (0.5 * head).tolist()
-        if not any(map(accepts, alphas, bounds)):
-            self.screened += len(alphas)
-            return bounds
-        # in place, sparing a temporary the size of the scenario rows
-        Ys = a[:, None] * self.Q[1:]
-        Ys += self.Y[1:]
-        self.tails = _ev_tails(Ys, self.points)
-        return _ev_sum(head, *self.tails).tolist()
+        heads = _ev_head(self.row0, self.points, mu)
+        values = (0.5 * heads).tolist()
+        for i, alpha in enumerate(alphas):
+            if not accepts(alpha, values[i]):
+                self.screened += 1
+                continue
+            # in place, sparing a temporary the size of the scenario rows
+            Ys = alpha * self.Q[1:]
+            Ys += self.Y[1:]
+            self.tails = _ev_tails(Ys[None], self.points[i:i + 1])
+            values[i] = float(_ev_sum(heads[i], *self.tails)[0])
+            if accepts(alpha, values[i]):
+                return values[:i + 1]
+        return values
 
     def raw(self, i):
         head = _ev_head(self.row0[i:i + 1], self.points[i:i + 1], 0.0)
-        tail_G, tail_H = self.tails
-        return float(_ev_sum(head[0], tail_G[i], tail_H[i]))
+        return float(_ev_sum(head, *self.tails)[0])
 
 
 def ev_gradient(inst: EvInstance, x, mu: float) -> np.ndarray:

@@ -14,8 +14,8 @@ objective.  One outer iteration:
      The trials come in blocks of consecutive steps, each block one set of
      numpy calls, and a block is evaluated only when the search reaches it;
      the ray is handed the test, so a ray that bounds its trials from below
-     (ev's, by 0.5 * ||Phi_mu||^2) can reject a block whose every bound
-     fails unevaluated; the new iterate's unsmoothed value is read off the
+     (ev's, by 0.5 * ||Phi_mu||^2) can reject each trial whose bound fails
+     unevaluated; the new iterate's unsmoothed value is read off the
      accepted trial's row of its block at mu = 0;
   4. shrink mu_{k+1} = sigma * mu_k when ||grad f(x_{k+1}, mu_k)|| falls
      below gamma_bar * mu_k, otherwise keep mu_{k+1} = mu_k.
@@ -166,9 +166,10 @@ class SmoothedModel(NamedTuple):
     steps alphas, at most ray.size of them, where accepts(alpha, f) is the
     search's Armijo test, and raw(i) is f(x + alphas[i] d, 0) for a row of
     the last block that the test accepted.  A ray may fix once whatever its
-    trials share.  A block whose every row the test rejects on a lower
-    bound may also return those bounds in place of the values, unevaluated,
-    and count its rows in ray.screened, as ev._EvRay does.
+    trials share.  A row whose lower bound the test already rejects may
+    hold that bound in place of its value, unevaluated, counted in
+    ray.screened, and a block may stop at its first accepted row, as
+    ev._EvRay does.
     """
 
     value: Callable[[np.ndarray, float], float]

@@ -7,7 +7,7 @@ import numpy as np
 
 from savesolve import EvInstance, StochasticProblem, core
 from savesolve.core import _check_kink, _check_vector, _lift, smooth_abs
-from savesolve.ev import _constraint_rows, _fb_parts
+from savesolve.ev import _constraint_rows, _ev_head, _fb_parts
 
 
 def scalar_trial(ray, alpha, mu):
@@ -16,6 +16,14 @@ def scalar_trial(ray, alpha, mu):
     Y + alpha Q and the point x + alpha d, the oracle a block's rows are
     checked against."""
     return ray.value((ray.Y + alpha * ray.Q)[None], (ray.x + alpha * ray.d)[None], mu)[0]
+
+
+def half_head(ray, alpha, mu):
+    """0.5 * head of ev's value at one step of an ev ray, read off the
+    expected row of the lift alone: the lower bound the ray may return for
+    a trial in place of its value."""
+    row0, z = (ray.Y[0] + alpha * ray.Q[0])[None], (ray.x + alpha * ray.d)[None]
+    return 0.5 * _ev_head(row0, z, mu)[0]
 
 
 def scenario_document(rng, n, k):

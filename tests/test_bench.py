@@ -73,6 +73,17 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="x0 box needs hi > lo"):
             UniformRandomStart(lo, hi)
 
+    @pytest.mark.parametrize("seed, match", [
+        (-1, "x0 seed must be at least 0"), (1.5, "x0 seed must be an integer"),
+        (True, "x0 seed must be an integer"), (2.0, "x0 seed must be an integer"),
+    ])
+    def test_random_start_refuses_a_seed_that_is_not_a_natural_number(self, seed, match):
+        with pytest.raises(ValueError, match=match):
+            UniformRandomStart(seed=seed)
+        # a valid seed, a numpy integer too, draws as before
+        draw = UniformRandomStart(seed=np.int64(3)).resolve(4)
+        np.testing.assert_array_equal(draw, 2.0 * np.random.default_rng(3).random(4))
+
     def test_ev_route_on_scenarios(self):
         problem = builtin_example("ex2_1")
         spec = SamplerSpec("scenarios", count=1, dim=1)

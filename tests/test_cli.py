@@ -390,6 +390,17 @@ class TestRunCommand:
         assert captured.err.startswith(
             "save-solve: error: --x0-lo, --x0-hi: x0 box needs hi > lo")
 
+    @pytest.mark.parametrize("extra, flag", [
+        (["--x0-seed=-1"], "--x0-seed: x0 seed must be at least 0"),
+        # the box is checked first, and named apart from the seed
+        (["--x0-seed=-1", "--x0-lo", "3", "--x0-hi", "1"], "--x0-lo, --x0-hi: x0 box"),
+    ])
+    def test_negative_x0_seed_exits_64_naming_the_flag(self, capsys, extra, flag):
+        assert main(["run", "--example", "ex4_1", *extra]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"save-solve: error: {flag}")
+
     def test_scenario_moments_that_overflow_exit_4(self, tmp_path, capsys):
         # the moments of u = [1; 1e200] overflow: a status, never a numpy warning
         scenarios = [{"omega": [1e200], "p": 0.5}, {"omega": [0.0], "p": 0.5}]

@@ -20,7 +20,8 @@ from savesolve import (
     verify_glcp,
     verify_save,
 )
-from savesolve.ev import _ev_head, _EvRay, _verdicts
+from savesolve import ev
+from savesolve.ev import _EvRay, _verdicts
 
 from helpers import (
     A_bar,
@@ -30,6 +31,7 @@ from helpers import (
     eval_b,
     fb,
     fd_gradient,
+    half_head,
     residual,
     scalar_trial,
     smoothed_fb,
@@ -52,17 +54,58 @@ def reject_all(alpha, f):
     return False
 
 
-def random_finite_problem(rng, n, m, k):
-    """A dense affine instance with k weighted scenarios of dimension m."""
+def random_finite_problem(rng, n, m, k, feasible=False):
+    """A dense affine instance with k weighted scenarios of dimension m.  A
+    feasible one has b_base lowered by 1e5, so every scenario row is
+    positive near x: its tails are exactly zero, and the value is the
+    complementarity head alone."""
     omegas = rng.uniform(-1.0, 2.0, (k, m))
     probs = rng.uniform(0.1, 1.0, k)
     return StochasticProblem(
         rng.uniform(-2.0, 2.0, (n, n)),
         list(rng.uniform(-2.0, 2.0, (m, n, n))),
-        rng.uniform(-2.0, 2.0, n),
+        rng.uniform(-2.0, 2.0, n) - (1e5 if feasible else 0.0),
         list(rng.uniform(-2.0, 2.0, (m, n))),
         FiniteScenarios(omegas, probs / probs.sum()),
     )
+
+
+def checked_block(ray, alphas, mu, accepts):
+    """ray.block(alphas, mu, accepts), checked against the scalar ray under
+    the per-row rule: the rows up to the first accepted one, each the
+    row's bound when the test rejects it (counted in screened, with no
+    scenario row summed) and else its value, bitwise, after one _ev_tails
+    call on that row alone; raw of an accepted row is its value at mu = 0.
+    Returns the rows and whether one was accepted."""
+    oracle = [(half_head(ray, alpha, mu), scalar_trial(ray, alpha, mu)) for alpha in alphas]
+    summed, screened, tails = [], ray.screened, ev._ev_tails
+
+    def counted(Ys, z):
+        summed.append(z.tobytes())
+        return tails(Ys, z)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ev, "_ev_tails", counted)
+        rows = ray.block(alphas, mu, accepts)
+    expected, evaluated, accepted = [], [], False
+    for alpha, (floor, value) in zip(alphas, oracle):
+        assert floor <= value or math.isnan(value)
+        assert math.isnan(value) or not math.isnan(floor)
+        if not accepts(alpha, floor):
+            expected.append(floor)
+            continue
+        expected.append(value)
+        evaluated.append((ray.x + alpha * ray.d)[None].tobytes())
+        if accepts(alpha, value):
+            accepted = True
+            break
+    assert np.array(rows).tobytes() == np.array(expected).tobytes()
+    assert ray.screened - screened == len(expected) - len(evaluated)
+    assert summed == evaluated
+    if accepted:
+        assert np.float64(ray.raw(len(rows) - 1)).tobytes() == np.float64(
+            scalar_trial(ray, alphas[len(rows) - 1], 0.0)).tobytes()
+    return rows, accepted
 
 
 def direct_ev(problem, x, mu):
@@ -351,98 +394,70 @@ class TestEvRay:
         # one value formula: the ray's start is the objective, bit for bit
         assert scalar_trial(ray, 0.0, mu) == ev_objective(inst, x, mu)
 
-    @settings(max_examples=200, deadline=None)
-    @given(**instance_shapes, j=st.integers(0, 60), d_exp=st.floats(-6.0, 3.0),
-           raw=st.booleans(), size=st.integers(1, 12))
-    def test_block_rows_are_the_scalar_ray(self, seed, n, m, k, j, d_exp, raw, size):
+    @settings(max_examples=300, deadline=None)
+    @given(**instance_shapes, feasible=st.booleans(), raw=st.booleans(),
+           shift=st.one_of(st.integers(-20, 40), st.integers(600, 700)),
+           j=st.integers(0, 60), size=st.integers(1, 12),
+           verdicts=st.lists(st.sampled_from(["reject", "bound", "accept"]),
+                             min_size=12, max_size=12))
+    def test_block_rows_follow_the_per_row_rule(
+        self, seed, n, m, k, feasible, raw, shift, j, size, verdicts
+    ):
+        # each row's test rejects every value, accepts its own bound and
+        # below (so the row sums its tails, and is accepted only when they
+        # are zero, as on a feasible instance), or accepts every value
+        # but NaN; 2**shift up to 2**700 scales the direction until trials
+        # overflow to inf or NaN
         rng = np.random.default_rng(seed)
-        inst = expected_instance(random_finite_problem(rng, n, m, k))
+        inst = expected_instance(random_finite_problem(rng, n, m, k, feasible))
         x = rng.uniform(-3, 3, size=n)
-        d = 10.0**d_exp * rng.uniform(-1.0, 1.0, n)
+        d = 2.0**shift * rng.uniform(-1.0, 1.0, n)
         mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
         ray = _EvRay(inst, x, d)
         alphas = [0.5**i for i in range(j, j + size)]
-        values = ray.block(alphas, mu, accept_all)
-        assert np.array(values).tobytes() == np.array([scalar_trial(ray, a, mu) for a in alphas]).tobytes()
-        for i, alpha in enumerate(alphas):
-            assert ray.raw(i) == scalar_trial(ray, alpha, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            limits = {alpha: {"reject": -np.inf, "bound": half_head(ray, alpha, mu),
+                              "accept": np.inf}[verdict]
+                      for alpha, verdict in zip(alphas, verdicts)}
+            checked_block(ray, alphas, mu, lambda alpha, f: f <= limits[alpha])
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 64), m=st.integers(0, 2),
            extra=st.integers(0, 8), feasible=st.booleans(), raw=st.booleans(),
            shift=st.one_of(st.integers(-20, 40), st.integers(600, 700)))
     def test_floor_is_a_lower_bound(self, seed, n, m, extra, feasible, raw, shift):
-        # lifts of more than 2048 entries, whose rays take one trial per
-        # block and screen them; a feasible instance has every scenario row
-        # positive near x, so its tails are exactly zero and the floor is
-        # the whole value, and 2**shift up to 2**700 scales the direction
-        # until trials overflow to inf or NaN
+        # lifts of more than 2048 entries, whose blocks still hold 12 rows,
+        # sized by the n-entry head every row evaluates; the instances and
+        # directions of test_block_rows_follow_the_per_row_rule
         rng = np.random.default_rng(seed)
-        problem = random_finite_problem(rng, n, m, 2048 // n + extra)
-        if feasible:
-            problem = StochasticProblem(problem.A_base, problem.A_terms, problem.b_base - 1e5,
-                                        problem.b_terms, problem.distribution)
-        inst = expected_instance(problem)
+        inst = expected_instance(random_finite_problem(rng, n, m, 2048 // n + extra, feasible))
         x = rng.uniform(-3, 3, size=n)
         d = 2.0**shift * rng.uniform(-1.0, 1.0, n)
         mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
         ray = _EvRay(inst, x, d)
-        assert ray.size == 1
+        assert ray.size == 12
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, j in enumerate(range(0, 61, 3)):
-                alpha = 0.5**j
-                # a test that rejects every value gets the floor back
-                (floor,) = ray.block([alpha], mu, reject_all)
-                assert ray.screened == i + 1
-                value = scalar_trial(ray, alpha, mu)
-                assert floor <= value or math.isnan(value)
-                assert math.isnan(value) or not math.isnan(floor)
-                # one that accepts it gets the value, and raw the value at
-                # mu = 0 off the block's tails: both bitwise the scalar ray
-                assert np.float64(ray.block([alpha], mu, accept_all)[0]).tobytes() == np.float64(value).tobytes()
-                assert np.float64(ray.raw(0)).tobytes() == np.float64(scalar_trial(ray, alpha, 0.0)).tobytes()
-                assert ray.screened == i + 1
+            for j in range(0, 61, 3):
+                alphas = [0.5**i for i in range(j, j + ray.size)]
+                # a test that rejects every value gets every row's floor
+                # back, all screened, and no scenario row is summed
+                rows, accepted = checked_block(ray, alphas, mu, reject_all)
+                assert len(rows) == ray.size and not accepted
+                # one that accepts every value stops at the first row, its
+                # value and raw value bitwise the scalar ray's
+                rows, accepted = checked_block(ray, alphas, mu, accept_all)
+                assert len(rows) == 1 and accepted
 
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), m=st.integers(0, 2),
-           k=st.integers(1, 31), feasible=st.booleans(), raw=st.booleans(),
-           shift=st.one_of(st.integers(-20, 40), st.integers(600, 700)),
-           j=st.integers(0, 60), passing=st.integers(0, 11))
-    def test_multi_row_blocks_screen_when_every_bound_fails(
-        self, seed, n, m, k, feasible, raw, shift, j, passing
-    ):
-        # lifts of at most 32 x 64 = 2048 entries, whose rays take blocks of
-        # 2 to 12 rows; the instances and directions of
-        # test_floor_is_a_lower_bound
-        rng = np.random.default_rng(seed)
-        problem = random_finite_problem(rng, n, m, k)
-        if feasible:
-            problem = StochasticProblem(problem.A_base, problem.A_terms, problem.b_base - 1e5,
-                                        problem.b_terms, problem.distribution)
-        inst = expected_instance(problem)
-        x = rng.uniform(-3, 3, size=n)
-        d = 2.0**shift * rng.uniform(-1.0, 1.0, n)
-        mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
-        ray = _EvRay(inst, x, d)
-        assert 2 <= ray.size <= 12
-        alphas = [0.5**i for i in range(j, j + ray.size)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = np.array([scalar_trial(ray, a, mu) for a in alphas])
-            floors = 0.5 * np.array([_ev_head((ray.Y[0] + a * ray.Q[0])[None], (x + a * d)[None], mu)[0]
-                                     for a in alphas])
-            # a test that rejects every row's bound gets the bounds back,
-            # and every row of the block is screened
-            assert np.array(ray.block(alphas, mu, reject_all)).tobytes() == floors.tobytes()
-            assert ray.screened == len(alphas)
-            assert np.all((floors <= values) | np.isnan(values))
-            # one that passes a single row's bound gets every row's value,
-            # and raw each row's value at mu = 0: bitwise the scalar ray
-            accepted = alphas[passing % len(alphas)]
-            block = ray.block(alphas, mu, lambda alpha, f: alpha == accepted)
-            assert np.array(block).tobytes() == values.tobytes()
-            for i, alpha in enumerate(alphas):
-                assert np.float64(ray.raw(i)).tobytes() == np.float64(scalar_trial(ray, alpha, 0.0)).tobytes()
-            assert ray.screened == len(alphas)
+    @pytest.mark.parametrize("n, size", [
+        (2, 12), (250, 12), (341, 12), (342, 11), (2048, 2), (4096, 1), (5000, 1),
+    ])
+    def test_block_size_rule(self, n, size):
+        # a block's heads hold n entries a row, whatever the scenario count
+        inst = expected_instance(builtin_example("ex4_4", n=n))
+        assert _EvRay(inst, np.zeros(n), np.ones(n)).size == size
+        if n == 250:  # the benchmark's 41 x 250 lift
+            inst = expected_instance(random_finite_problem(np.random.default_rng(0), n, 1, 40))
+            assert _EvRay(inst, np.zeros(n), np.ones(n)).size == size
 
 
 class TestSlackElimination:

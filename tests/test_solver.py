@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import math
 import struct
@@ -30,7 +31,7 @@ from savesolve import ev
 from savesolve.core import FiniteScenarios, _erm_value, _Ray
 from savesolve.ev import _EvRay, ev_gradient, ev_objective, ev_solve, expected_instance
 
-from helpers import scalar_trial
+from helpers import half_head, scalar_trial
 
 
 def quadratic_1d_problem():
@@ -498,14 +499,18 @@ class TestSolveCounts:
         assert (solved.trials, solved.backtracks) == (report.trials, report.backtracks)
         assert report.status is SolveStatus.CONVERGED
         assert solved.screened == report.screened == sum(r.screened for r in rays)
-        # erm's ray screens nothing; ev's screens the blocks of several rows
-        # whose every bound fails the test
+        # erm's ray screens nothing; ev's screens each trial whose bound
+        # fails the test
         assert (report.screened > 0) == (route == "ev")
         assert report.value_calls == calls["value"]
         assert report.gradient_calls == calls["gradient"]
         assert report.trials == calls["trial"]
-        # block rows evaluated past the accepted trial are not trials
-        assert report.trials < calls["row"]
+        # block rows evaluated past the accepted trial are not trials: erm's
+        # blocks evaluate every row, ev's stop at the accepted one
+        if route == "erm":
+            assert report.trials < calls["row"]
+        else:
+            assert report.trials == calls["row"]
         assert calls["ray_raw"] == report.iterations
         trace = report.trace
         assert len(report.backtracks) == report.iterations
@@ -520,8 +525,8 @@ class TestSolveCounts:
         assert report.gradient_calls == 1 + report.iterations + len(shrinks)
 
     def test_single_trial_ev_rays_screen_trials(self, monkeypatch):
-        # a lift of 41 x 60 entries: one trial per block, each screened on
-        # its head before its scenario rows are summed
+        # a lift of 41 x 60 entries, whose blocks of 12 heads screen each
+        # trial on its head before its scenario rows are summed
         inst, x0 = scenario_instance(60, 40, 7)
         solved = ev_solve(inst, x0)
         model, calls, rays = counted(ev_model(inst))
@@ -622,6 +627,9 @@ def compare_searches(model, x, d, mu, f0, slope, cfg, size):
     assert blocks[:-1] == [size] * (len(blocks) - 1)
     assert sum(blocks[:-1]) < trials <= sum(blocks) <= cfg.max_backtracks + 1
     assert ray.screened <= trials - (outcomes[0] is not None)
+    if isinstance(ray, _EvRay):  # exactly the trials whose bound fails
+        assert ray.screened == sum(not half_head(ray, a, mu) - f0 <= cfg.delta * a * slope
+                                   for a in oracle.steps)
     return ray, blocks, trials
 
 
@@ -633,10 +641,10 @@ class TestBlockSearch:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 64), m=st.integers(0, 2),
            extra=st.integers(0, 8), shift=st.one_of(st.integers(-24, 12), st.integers(600, 700)),
            max_backtracks=st.integers(1, 60))
-    def test_screened_single_trial_rays(self, seed, n, m, extra, shift, max_backtracks):
-        # ev lifts of more than 2048 entries take one trial per block, and
-        # each screens its trial on the head; about half of these searches
-        # fail, all past 2**600
+    def test_screened_head_sized_rays(self, seed, n, m, extra, shift, max_backtracks):
+        # ev lifts of more than 2048 entries take blocks of 12 rows, sized
+        # by the head, and screen each trial whose bound fails the test;
+        # about half of these searches fail, all past 2**600
         rng = np.random.default_rng(seed)
         model = random_model("ev", rng, n, m, k=2048 // n + extra)
         x = rng.uniform(-2.0, 2.0, n)
@@ -644,9 +652,26 @@ class TestBlockSearch:
         g = model.gradient(x, mu)
         d = -(2.0**shift) * g
         cfg = SolverConfig(max_backtracks=max_backtracks)
-        assert model.ray(x, d).size == 1
+        assert model.ray(x, d).size == 12
         with np.errstate(over="ignore", invalid="ignore"):
-            compare_searches(model, x, d, mu, model.value(x, mu), float(g @ d), cfg, 1)
+            compare_searches(model, x, d, mu, model.value(x, mu), float(g @ d), cfg, 12)
+
+    def test_scenario_solve_is_the_oracle_search_bitwise(self):
+        # the benchmark's shape, a 41 x 250 lift: the solve over ev's
+        # screened blocks and the one over the scalar oracle ray take the
+        # same trials to the same iterates
+        inst, x0 = scenario_instance(250, 40, 1)
+        report = ev_solve(inst, x0)
+        model = ev_model(inst)
+        oracle = minimize_smoothed(model._replace(ray=lambda z, d: OracleRay(model.ray(z, d))),
+                                   x0)
+        assert report.status is oracle.status is SolveStatus.CONVERGED
+        assert report.iterations == oracle.iterations
+        assert report.x_final.tobytes() == oracle.x_final.tobytes()
+        assert [tuple(map(bits, dataclasses.astuple(it))) for it in report.trace] == [
+            tuple(map(bits, dataclasses.astuple(it))) for it in oracle.trace]
+        assert (report.trials, report.backtracks) == (oracle.trials, oracle.backtracks)
+        assert 0 < report.screened < report.trials
 
     @settings(max_examples=200, deadline=None)
     @given(route=st.sampled_from(["erm", "ev"]), seed=st.integers(0, 2**32 - 1),
