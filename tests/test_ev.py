@@ -400,7 +400,7 @@ class TestEvRay:
            j=st.integers(0, 60), size=st.integers(1, 12),
            verdicts=st.lists(st.sampled_from(["reject", "bound", "accept"]),
                              min_size=12, max_size=12))
-    def test_block_rows_follow_the_per_row_rule(
+    def test_block_rows_are_the_scalar_ray(
         self, seed, n, m, k, feasible, raw, shift, j, size, verdicts
     ):
         # each row's test rejects every value, accepts its own bound and
@@ -428,7 +428,7 @@ class TestEvRay:
     def test_floor_is_a_lower_bound(self, seed, n, m, extra, feasible, raw, shift):
         # lifts of more than 2048 entries, whose blocks still hold 12 rows,
         # sized by the n-entry head every row evaluates; the instances and
-        # directions of test_block_rows_follow_the_per_row_rule
+        # directions of test_block_rows_are_the_scalar_ray
         rng = np.random.default_rng(seed)
         inst = expected_instance(random_finite_problem(rng, n, m, 2048 // n + extra, feasible))
         x = rng.uniform(-3, 3, size=n)
@@ -447,6 +447,43 @@ class TestEvRay:
                 # value and raw value bitwise the scalar ray's
                 rows, accepted = checked_block(ray, alphas, mu, accept_all)
                 assert len(rows) == 1 and accepted
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), m=st.integers(0, 2),
+           k=st.integers(1, 31), feasible=st.booleans(), raw=st.booleans(),
+           shift=st.one_of(st.integers(-20, 40), st.integers(600, 700)),
+           j=st.integers(0, 60), passing=st.integers(0, 11))
+    def test_multi_row_blocks_screen_when_every_bound_fails(
+        self, seed, n, m, k, feasible, raw, shift, j, passing
+    ):
+        # lifts of at most 32 x 64 = 2048 entries, whose rays take blocks of
+        # 12 rows; the instances and directions of test_floor_is_a_lower_bound
+        rng = np.random.default_rng(seed)
+        inst = expected_instance(random_finite_problem(rng, n, m, k, feasible))
+        x = rng.uniform(-3, 3, size=n)
+        d = 2.0**shift * rng.uniform(-1.0, 1.0, n)
+        mu = 0.0 if raw else 10.0 ** rng.uniform(-6, -1)
+        ray = _EvRay(inst, x, d)
+        assert ray.size == 12
+        alphas = [0.5**i for i in range(j, j + ray.size)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            floors = np.array([half_head(ray, a, mu) for a in alphas])
+            # a test that rejects every row's bound gets the bounds back,
+            # every row of the block is screened and no tails are summed
+            screened = ray.screened
+            rows, accepted = checked_block(ray, alphas, mu, reject_all)
+            assert np.array(rows).tobytes() == floors.tobytes() and not accepted
+            assert ray.screened - screened == len(alphas)
+            # one that passes a single row gets the bounds of the rows
+            # before it, screened, and that row's value, bitwise the scalar
+            # ray's, after which the block stops
+            p = passing % len(alphas)
+            screened = ray.screened
+            rows, accepted = checked_block(ray, alphas, mu, lambda alpha, f: alpha == alphas[p])
+            assert accepted and len(rows) == p + 1
+            assert np.array(rows[:p]).tobytes() == floors[:p].tobytes()
+            assert np.float64(rows[p]).tobytes() == np.float64(scalar_trial(ray, alphas[p], mu)).tobytes()
+            assert ray.screened - screened == p
 
     @pytest.mark.parametrize("n, size", [
         (2, 12), (250, 12), (341, 12), (342, 11), (2048, 2), (4096, 1), (5000, 1),
