@@ -16,6 +16,7 @@ exits 4 when the exact value or the estimate is not finite.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 
@@ -32,13 +33,7 @@ from .bench import (
 )
 from .core import FiniteScenarios, erm_objective
 from .ev import _verdicts, expected_instance
-from .problems import (
-    EXAMPLE_IDS,
-    ProblemFormatError,
-    builtin_example,
-    load_case2_file,
-    load_problem_file,
-)
+from .problems import EXAMPLE_IDS, _built, builtin_example, load_case2_file, load_problem_file
 from .sampling import READS, SamplerSpec, _last_index, generate
 from .solver import SolveStatus, SolverConfig
 
@@ -139,20 +134,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flagged(flag: str, make):
-    """make(), a value it refuses or cannot allocate reported as flag's error."""
-    try:
-        return make()
-    except (ValueError, MemoryError) as exc:
-        raise ValueError(f"{flag}: {exc}") from None
-
-
 def _load_problem(args):
     if args.problem_file is not None:
         if args.n is not None:
             raise ValueError("--n applies only to --example ex4_4, not to --problem-file")
         return load_problem_file(args.problem_file)
-    return _flagged("--n", lambda: builtin_example(args.example, n=args.n)), None, None
+    return _built("--n", lambda: builtin_example(args.example, n=args.n)), None, None
+
+
+def _create(path):
+    """path opened for writing, created or truncated as a shell redirection
+    would be, before the first solve; a null context for no path."""
+    if path is None:
+        return contextlib.nullcontext()
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _refuse_unread(args, dests, why: str) -> None:
@@ -175,58 +170,54 @@ def _cmd_run(args) -> int:
     solver_flags = {name: getattr(args, dest) for dest, name in _SOLVER_FLAGS.items()}
     cfg = _override(file_cfg or SolverConfig(), **solver_flags)
     sampler = _override(file_sampler or SamplerSpec(dim=problem.m), kind=args.sampler)
-    sampler = _flagged("--seed", lambda: _override(sampler, seed=args.seed))
-    sampler = _flagged("--offset", lambda: _override(sampler, offset=args.offset))
+    sampler = _built("--seed", lambda: _override(sampler, seed=args.seed))
+    sampler = _built("--offset", lambda: _override(sampler, offset=args.offset))
     counts = _parse_counts(args.N) if args.N is not None else [sampler.count]
-    specs = [_flagged("--N", lambda: dataclasses.replace(sampler, count=c)) for c in counts]
+    specs = [_built("--N", lambda: dataclasses.replace(sampler, count=c)) for c in counts]
     reads = READS[sampler.kind] if args.route == "erm" else ()
     _refuse_unread(args, [d for d, f in _SAMPLER_FLAGS.items() if f not in reads],
                    f"not read by the {sampler.kind} sampler")
     if "offset" in reads:  # before the first solve, named after what set offset + count
         source = "--offset" if args.offset is not None else "--N" if args.N else "sampler"
-        _flagged(source, lambda: _last_index(max(counts), sampler.offset))
-    if args.trace and len(counts) > 1:
+        _built(source, lambda: _last_index(max(counts), sampler.offset))
+    if args.trace is not None and len(counts) > 1:
         raise ValueError("--trace expects a single --N value")
     if args.x0 is not None:
         _refuse_unread(args, ("x0_seed", "x0_lo", "x0_hi"),
                        "--x0 gives the start, so none is drawn")
         policy = GivenStart(tuple(_parse_floats(args.x0, "--x0")))
     else:
-        box = _flagged("--x0-lo, --x0-hi", lambda: _override(
+        box = _built("--x0-lo, --x0-hi", lambda: _override(
             UniformRandomStart(), lo=args.x0_lo, hi=args.x0_hi))
-        policy = _flagged("--x0-seed", lambda: _override(box, seed=args.x0_seed))
+        policy = _built("--x0-seed", lambda: _override(box, seed=args.x0_seed))
     example_id = args.example or args.problem_file
-    records = []
-    for spec in specs:
-        try:
-            record, report = run_experiment(
-                problem,
-                spec,
-                cfg,
-                policy,
-                args.route,
-                example_id=example_id,
+    with _create(args.out) as out, _create(args.trace) as trace:
+        records = []
+        for spec in specs:
+            try:
+                record, report = run_experiment(problem, spec, cfg, policy, args.route,
+                                                example_id=example_id)
+            except MemoryError as exc:  # a sample set too large to allocate
+                raise ValueError(f"{'--N' if args.N else 'sampler count'}: {exc}") from None
+            records.append(record)
+            # keep only the report --trace writes, so a sweep holds one solve at a time
+            last_report = report if trace else None
+            del report
+        print(emit_table(records, "aligned"), end="")
+        for record in records:
+            note = (" (expected-value reduction on a uniform problem)"
+                    if record.ev_on_uniform else "")
+            print(
+                f"status={record.status.value} iterations={record.iterations} "
+                f"grad_norm={record.grad_norm:.3e} mu={record.mu_final:.3e} "
+                f"time={record.wall_time:.3f}s{note}"
             )
-        except MemoryError as exc:  # a sample set too large to allocate
-            raise ValueError(f"{'--N' if args.N else 'sampler count'}: {exc}") from None
-        records.append(record)
-        # keep only the report --trace writes, so a sweep holds one solve at a time
-        last_report = report if args.trace else None
-        del report
-    print(emit_table(records, "aligned"), end="")
-    for record in records:
-        note = " (expected-value reduction on a uniform problem)" if record.ev_on_uniform else ""
-        print(
-            f"status={record.status.value} iterations={record.iterations} "
-            f"grad_norm={record.grad_norm:.3e} mu={record.mu_final:.3e} "
-            f"time={record.wall_time:.3f}s{note}"
-        )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(emit_table(records, "csv"))
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="") as handle:
-            handle.write(emit_trace(last_report))
+        if out:
+            out.write(emit_table(records, "csv"))
+            out.flush()  # so a --trace naming the same file replaces it whole
+        if trace:
+            trace.write(emit_trace(last_report))
+            trace.truncate()
     return max(_STATUS_CODES[r.status] for r in records)
 
 
@@ -262,7 +253,7 @@ def _cmd_oracle(args) -> int:
     if args.qmc is not None:
         # drawn before the first print, so a count that cannot be drawn is refused first
         problem = as_save_problem(inst)
-        samples = _flagged("--qmc", lambda: generate(
+        samples = _built("--qmc", lambda: generate(
             SamplerSpec("halton", count=args.qmc, dim=inst.m), problem))
     value = exact_objective(inst, x)
     print(f"exact objective: {value:.12g}")
@@ -286,7 +277,7 @@ def main(argv=None) -> int:
         # as the solver's non_finite status does, never a numpy warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return command(args)
-    except (ProblemFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"save-solve: error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

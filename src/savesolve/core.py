@@ -44,11 +44,9 @@ block of one.  _dot owns the order of every inner product, the solver's
 too: one BLAS dot per row of up to 10000 entries, past which OpenBLAS was
 measured to split a dot over its threads, else a fixed sum of its chunks.
 The ray evaluates a block of several steps alpha in one set of numpy
-calls, capped by a fixed cost rule on the lift's size.  The search hands
-each block its Armijo test, so a route's ray may reject each row on a
-lower bound read off part of the lift, unevaluated, and stop at the first
-row the test accepts: ev's ray does, with the bound over the expected row
-of its lift, and sizes its blocks by that row (ev._EvRay).
+calls, as many as _block_size allows, under the block protocol that
+solver.SmoothedModel states; ev's ray screens rows on a lower bound, as
+ev._EvRay states.
 
 All operations are pure functions of their inputs; problem and sample objects
 are treated as read-only after construction, so they are safe to share across
@@ -530,6 +528,11 @@ _BLOCK_TRIALS = 12
 _BLOCK_ENTRIES = 4096
 
 
+def _block_size(entries: int) -> int:
+    """The most rows of a ray's block when its block call reads entries per row."""
+    return max(1, min(_BLOCK_TRIALS, _BLOCK_ENTRIES // entries))
+
+
 class _Ray:
     """A route's line search at x along d: the trials f(x + alpha d, mu)
     over the route's lift W of the affine rows L(z) = _A z - _b, passed to
@@ -537,13 +540,10 @@ class _Ray:
     z, so W L at x + alpha d is Y + alpha Q, with Y = W L(x) formed fresh at
     x and Q = W (_A d).
 
-    block evaluates the trials at several steps in one set of numpy calls
-    over a leading block axis, at most size of them, and keeps their rows,
-    so that raw reads the mu = 0 value of any of its trials, a block of one,
-    with no second pass along the ray.
-    block is handed the search's test, accepts(alpha, f), and evaluates
-    every trial all the same; a route's ray may use the test to reject a
-    row on a lower bound, unevaluated, counted in screened (ev._EvRay).
+    block keeps solver.SmoothedModel's protocol: it evaluates every trial,
+    whatever the test, over a leading block axis and keeps their rows, so
+    raw reads the mu = 0 value of any of them, a block of one, with no
+    second pass; ev's ray screens rows instead, as ev._EvRay states.
     """
 
     screened = 0
@@ -552,7 +552,7 @@ class _Ray:
         self.Y = W @ _affine_rows(problem, x, 0.0)
         self.Q = W @ _apply(problem, d)
         self.x, self.d, self.value = x, d, value
-        self.size = max(1, min(_BLOCK_TRIALS, _BLOCK_ENTRIES // self.Y.size))
+        self.size = _block_size(self.Y.size)
 
     def block(self, alphas, mu, accepts):
         """[f(x + alpha d, mu) for alpha in alphas], each row bitwise its trial alone."""

@@ -29,13 +29,8 @@ U (_A d), formed once per iteration.
 The value is 0.5 * (head + tail_G + tail_H), summed in _ev_sum alone.  The
 head, the squared phi of the expected row 0, is the only part that depends
 on mu; the tails, the squared negative parts of the scenario rows, are
-nonnegative.  So 0.5 * head bounds the computed value from below, and ev's
-ray, _EvRay, reads it off row 0 alone.  A block computes every row's head
-in one call, then walks its rows: a row whose bound already fails the
-search's Armijo test is rejected without summing its scenario rows, any
-other row sums its own tails, and the block stops at the first row the
-test accepts; the raw value of that trial adds its head at mu = 0 to its
-tails.
+nonnegative.  ev's ray keeps the block protocol that solver.SmoothedModel
+states, and screens its rows on 0.5 * head as _EvRay states.
 """
 
 from __future__ import annotations
@@ -45,12 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _BLOCK_ENTRIES,
-    _BLOCK_TRIALS,
     FiniteScenarios,
     StochasticProblem,
     _affine_rows,
     _apply_adjoint,
+    _block_size,
     _check_dim,
     _check_kink,
     _check_vector,
@@ -194,7 +188,7 @@ class _EvRay(_Ray):
 
     def __init__(self, inst, x, d):
         super().__init__(inst.problem, inst._U, _ev_value, x, d)
-        self.size = max(1, min(_BLOCK_TRIALS, _BLOCK_ENTRIES // self.Y.shape[1]))
+        self.size = _block_size(self.Y.shape[1])
 
     def block(self, alphas, mu, accepts):
         a = np.array(alphas)[:, None]

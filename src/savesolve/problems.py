@@ -15,10 +15,11 @@ A finite distribution uses kind "finite_scenarios" with
 "scenarios": [{"omega": [...], "p": ...}, ...].  Numbers must be finite; the
 sampler's count, seed and offset and the solver's max_iter and max_backtracks
 are integers; a field left out of either block takes its type's default.
-This module only parses (structure, known fields, the declared n and m,
-exact vector shapes, numeric arrays); every other rule lives in the type a
-block builds, whose ValueError or TypeError is re-raised as a
-ProblemFormatError naming the field, so a malformed file exits with status 64.
+This module only parses (structure, known fields: every object refuses a key
+it does not read, the declared n and m, exact vector shapes, numeric arrays);
+every other rule lives in the type a block builds, whose error _built
+re-raises as a ProblemFormatError naming the field, so a malformed file exits
+with status 64.
 """
 
 from __future__ import annotations
@@ -151,23 +152,28 @@ def _array_field(value, label: str, shape: tuple[int, ...] | None = None) -> np.
     return arr
 
 
-def _built(block: str | None, make):
-    """make(), with the type's ValueError or TypeError reported as a
-    ProblemFormatError under the document block it came from."""
+def _built(source: str | None, make):
+    """make(), with a value it refuses or cannot allocate (ValueError,
+    TypeError, MemoryError) reported as a ProblemFormatError under its
+    source, a document block or a command-line flag."""
     try:
         return make()
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"{block}: {exc}" if block else str(exc)) from None
+    except (TypeError, ValueError, MemoryError) as exc:
+        raise ProblemFormatError(f"{source}: {exc}" if source else str(exc)) from None
+
+
+def _only(data: dict, keys, label: str = "") -> None:
+    """Refuse every key of the object data, labelled label, outside keys."""
+    for key in data:
+        if key not in keys:
+            raise ProblemFormatError(f"{label}{key}: unknown field")
 
 
 def problem_from_dict(data) -> StochasticProblem:
     """Parse a problem document and build the instance."""
     _object(data, "top level")
-    known = {"n", "m", "A_base", "A_terms", "b_base", "b_terms", "distribution",
-             "solver", "sampler"}
-    for key in data:
-        if key not in known:
-            raise ProblemFormatError(f"{key}: unknown field")
+    _only(data, {"n", "m", "A_base", "A_terms", "b_base", "b_terms", "distribution",
+                 "solver", "sampler"})
     n = _int_field(data, "n", minimum=1)
     m = _int_field(data, "m", minimum=0)
     A_base = _array_field(_require(data, "A_base"), "A_base", (n, n))
@@ -187,8 +193,10 @@ def problem_from_dict(data) -> StochasticProblem:
         raise ProblemFormatError("distribution: expected an object with a kind")
     kind = dist_raw["kind"]
     if kind == "uniform_box":
+        _only(dist_raw, {"kind"}, "distribution.")
         distribution = UniformBox()
     elif kind == "finite_scenarios":
+        _only(dist_raw, {"kind", "scenarios"}, "distribution.")
         raw = dist_raw.get("scenarios")
         if not isinstance(raw, list) or not raw:
             raise ProblemFormatError(
@@ -199,6 +207,7 @@ def problem_from_dict(data) -> StochasticProblem:
             label = f"distribution.scenarios[{i}]"
             if not isinstance(sc, dict) or "omega" not in sc or "p" not in sc:
                 raise ProblemFormatError(f"{label}: expected omega and p fields")
+            _only(sc, {"omega", "p"}, f"{label}.")
             omegas.append(_array_field(sc["omega"], f"{label}.omega", (m,)))
             probs.append(_array_field(sc["p"], f"{label}.p", ()))
         distribution = _built(
@@ -269,9 +278,7 @@ def case2_from_dict(data) -> ClosedFormInstance:
     """Parse a closed-form oracle document {A, b_tilde, T} and build the
     instance."""
     _object(data, "top level")
-    for key in data:
-        if key not in {"A", "b_tilde", "T"}:
-            raise ProblemFormatError(f"{key}: unknown field")
+    _only(data, {"A", "b_tilde", "T"})
     A, b_tilde, T = (
         _array_field(_require(data, key), key) for key in ("A", "b_tilde", "T")
     )

@@ -9,14 +9,12 @@ objective.  One outer iteration:
   3. accept the largest step alpha = rho^j, j = 0, 1, ..., with
          f(x_k + alpha d_k, mu_k) - f(x_k, mu_k)
              <= delta * alpha * grad f(x_k, mu_k)^T d_k < 0,
-     each trial evaluated along the ray alpha -> x_k + alpha d_k, whose
-     shared affine rows the model forms once (no n x n product per trial).
-     The trials come in blocks of consecutive steps, each block one set of
-     numpy calls, and a block is evaluated only when the search reaches it;
-     the ray is handed the test, so a ray that bounds its trials from below
-     (ev's, by 0.5 * ||Phi_mu||^2) can reject each trial whose bound fails
-     unevaluated; the new iterate's unsmoothed value is read off the
-     accepted trial's row of its block at mu = 0;
+     each trial evaluated along the model's ray alpha -> x_k + alpha d_k
+     (no n x n product per trial), a block of consecutive steps at a time,
+     the next only when the search reaches it; the block protocol is
+     SmoothedModel's, and ev's screening on a lower bound is ev._EvRay's;
+     the new iterate's unsmoothed value is read off the accepted trial's row
+     at mu = 0;
   4. shrink mu_{k+1} = sigma * mu_k when ||grad f(x_{k+1}, mu_k)|| falls
      below gamma_bar * mu_k, otherwise keep mu_{k+1} = mu_k.
 
@@ -45,6 +43,7 @@ from .core import (
     _check_int,
     _dot,
     _erm_value,
+    _finite_array,
     _Ray,
     erm_objective,
     smoothed_gradient,
@@ -161,15 +160,15 @@ class SmoothedModel(NamedTuple):
     """An objective family f(x, mu) as minimize_smoothed sees it.
 
     value(x, mu) is f, gradient(x, mu) its gradient in x and raw(x) the
-    unsmoothed f(x, 0).  ray(x, d) returns a ray along d, as core._Ray: its
-    block(alphas, mu, accepts) is the list of f(x + alpha d, mu) over the
-    steps alphas, at most ray.size of them, where accepts(alpha, f) is the
-    search's Armijo test, and raw(i) is f(x + alphas[i] d, 0) for a row of
-    the last block that the test accepted.  A ray may fix once whatever its
-    trials share.  A row whose lower bound the test already rejects may
-    hold that bound in place of its value, unevaluated, counted in
-    ray.screened, and a block may stop at its first accepted row, as
-    ev._EvRay does.
+    unsmoothed f(x, 0).  ray(x, d) returns a ray along d, as core._Ray, by
+    the block protocol: its block(alphas, mu, accepts) is the list of
+    f(x + alpha d, mu) over the steps alphas, at most ray.size of them,
+    where accepts(alpha, f) is the search's Armijo test, and raw(i) is
+    f(x + alphas[i] d, 0) for a row of the last block that the test
+    accepted.  A ray may fix once whatever its trials share.  A row whose
+    lower bound the test already rejects may hold that bound in place of
+    its value, unevaluated, counted in ray.screened, and a block may stop
+    at its first accepted row, as ev._EvRay does.
     """
 
     value: Callable[[np.ndarray, float], float]
@@ -241,9 +240,7 @@ def minimize_smoothed(
     ValueError.
     """
     cfg = cfg or SolverConfig()
-    x = np.asarray(x0, dtype=float).ravel().copy()
-    if not np.all(np.isfinite(x)):
-        raise ValueError("starting point must be finite")
+    x = _finite_array(x0, "starting point").ravel().copy()
 
     def gradient(z, mu):
         """g = model.gradient(z, mu), its one inner product gg = g^T g and ||g||."""

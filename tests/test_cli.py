@@ -117,6 +117,49 @@ class TestRunCommand:
         assert code == 64
         assert "single" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    @pytest.mark.parametrize("target", ["directory", "missing directory", "empty path"])
+    def test_unwritable_output_exits_64_before_any_solve(
+        self, tmp_path, monkeypatch, capsys, flag, target
+    ):
+        # stdout stays empty on exit 64, so each file is opened before any solve
+        path = {"directory": tmp_path, "missing directory": tmp_path / "missing" / "t.csv",
+                "empty path": ""}[target]
+        solves = []
+        monkeypatch.setattr("savesolve.cli.run_experiment", lambda *a, **k: solves.append(a))
+        code = main(["run", "--example", "ex4_1", "--N", "10", flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == "" and not solves
+        assert captured.err.startswith("save-solve: error: [Errno ")
+        assert str(path) in captured.err
+
+    def test_outputs_are_created_or_truncated_before_the_first_solve(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        out, trace = tmp_path / "table.csv", tmp_path / "trace.csv"
+        out.write_text("a table of an earlier run", encoding="utf-8")
+        seen = []
+
+        def refuse(*args, **kwargs):
+            seen.append((out.read_bytes(), trace.read_bytes()))
+            raise ValueError("refused")
+
+        monkeypatch.setattr("savesolve.cli.run_experiment", refuse)
+        code = main(["run", "--example", "ex4_1", "--N", "10",
+                     "--out", str(out), "--trace", str(trace)])
+        assert code == 64
+        assert capsys.readouterr().out == ""
+        assert seen == [(b"", b"")]
+
+    def test_out_and_trace_naming_one_file_leave_the_trace(self, tmp_path):
+        # the trace, written after the table, is the whole file
+        argv = ["run", "--example", "ex4_1", "--N", "10", "--x0", "1,2"]
+        one, alone = tmp_path / "one.csv", tmp_path / "alone.csv"
+        assert main([*argv, "--out", str(one), "--trace", str(one)]) == 0
+        assert main([*argv, "--trace", str(alone)]) == 0
+        assert one.read_bytes() == alone.read_bytes()
+
     def test_problem_file_input(self, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(EX4_1_DOC), encoding="utf-8")
@@ -474,6 +517,21 @@ class TestRunCommand:
                 {"distribution": {"kind": "finite_scenarios",
                                   "scenarios": [{"omega": [0.0], "p": [0.5, 0.5]}]}},
                 "scenarios[0].p",
+            ),
+            (
+                {"distribution": {"kind": "uniform_box",
+                                  "scenarios": [{"omega": [0.0], "p": 1.0}]}},
+                "error: distribution.scenarios: unknown field",
+            ),
+            (
+                {"distribution": {"kind": "finite_scenarios", "weights": [1.0],
+                                  "scenarios": [{"omega": [0.0], "p": 1.0}]}},
+                "error: distribution.weights: unknown field",
+            ),
+            (
+                {"distribution": {"kind": "finite_scenarios", "scenarios": [
+                    {"omega": [0.0], "p": 0.5, "prob": 0.9}, {"omega": [1.0], "p": 0.5}]}},
+                "error: distribution.scenarios[0].prob: unknown field",
             ),
         ],
     )

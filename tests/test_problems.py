@@ -174,6 +174,15 @@ class TestProblemDocuments:
             (lambda d: d.update(distribution=scenarios([0.5], [0.5])), r"scenarios\[0\]\.p"),
             (lambda d: d.update(distribution=scenarios([[0.5]], [[0.5]])), r"scenarios\[0\]\.p"),
             (lambda d: d.update(distribution=scenarios([0.5], 0.5)), r"scenarios\[0\]\.p"),
+            # every object refuses a key it does not read, such as the
+            # scenarios of a uniform box or a scenario's prob
+            (lambda d: d.update(distribution=dict(scenarios(0.5, 0.5), kind="uniform_box")),
+             r"^distribution\.scenarios: unknown field$"),
+            (lambda d: d.update(distribution=dict(scenarios(0.5, 0.5), weights=[1.0])),
+             r"^distribution\.weights: unknown field$"),
+            (lambda d: d.update(distribution={"kind": "finite_scenarios", "scenarios": [
+                {"omega": [0.0], "p": 0.5, "prob": 0.9}, {"omega": [1.0], "p": 0.5}]}),
+             r"^distribution\.scenarios\[0\]\.prob: unknown field$"),
         ],
     )
     def test_malformed_documents_name_the_field(self, mutate, field):
