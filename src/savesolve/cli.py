@@ -18,6 +18,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import os
+import stat
 import sys
 
 import numpy as np
@@ -150,6 +152,13 @@ def _create(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _one_file(a, b) -> bool:
+    """Whether handles a and b write one regular file; a device or a pipe keeps
+    no earlier bytes for a later write to replace."""
+    a_stat, b_stat = os.fstat(a.fileno()), os.fstat(b.fileno())
+    return stat.S_ISREG(a_stat.st_mode) and os.path.samestat(a_stat, b_stat)
+
+
 def _refuse_unread(args, dests, why: str) -> None:
     """Refuse every flag among dests that was given, since the run would not read it."""
     given = ["--" + d.replace("_", "-") for d in dests if getattr(args, d) is not None]
@@ -214,10 +223,11 @@ def _cmd_run(args) -> int:
             )
         if out:
             out.write(emit_table(records, "csv"))
-            out.flush()  # so a --trace naming the same file replaces it whole
+            out.flush()  # before the trace, which may name the same file
         if trace:
             trace.write(emit_trace(last_report))
-            trace.truncate()
+            if out and _one_file(out, trace):  # the trace replaces the table whole
+                trace.truncate()
     return max(_STATUS_CODES[r.status] for r in records)
 
 

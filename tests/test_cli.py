@@ -160,6 +160,20 @@ class TestRunCommand:
         assert main([*argv, "--trace", str(alone)]) == 0
         assert one.read_bytes() == alone.read_bytes()
 
+    def test_outputs_to_a_device_or_a_pipe(self, tmp_path):
+        # neither can be truncated, and neither holds a table for the trace to replace
+        argv = ["run", "--example", "ex4_1", "--N", "10", "--x0", "1,2"]
+        alone = tmp_path / "alone.csv"
+        assert main([*argv, "--trace", str(alone)]) == 0
+        assert main([*argv, "--out", os.devnull, "--trace", os.devnull]) == 0
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as reader:
+            # the trace is smaller than the pipe's buffer, so it is read back after the run
+            code = main([*argv, "--out", os.devnull, "--trace", f"/dev/fd/{write_end}"])
+            os.close(write_end)
+            assert code == 0
+            assert reader.read() == alone.read_bytes()
+
     def test_problem_file_input(self, tmp_path):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(EX4_1_DOC), encoding="utf-8")
